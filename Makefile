@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath.
 
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
-	lint-prune lint-fix allocreport bench bench-all eval eval-quick \
+	lint-prune bench bench-all eval eval-quick \
 	fuzz fuzz-trajectory fuzz-trace fuzz-v2v maps serve soak clean
 
 all: build test
@@ -20,7 +20,7 @@ test-short:
 race:
 	go test -race -short ./...
 
-# Static analysis: go vet plus the fifteen domain-aware analyzers in
+# Static analysis: go vet plus the twelve domain-aware analyzers in
 # cmd/rups-lint (see docs/STATIC_ANALYSIS.md). Accepted findings live in
 # the committed lint-baseline.json, each entry carrying a "why"
 # justification; anything not in the baseline fails the build.
@@ -41,17 +41,6 @@ lint-ignores:
 # (go run ./cmd/rups-lint -baseline lint-baseline.json -prune-baseline rewrite ./...).
 lint-prune:
 	go run ./cmd/rups-lint -baseline lint-baseline.json -prune-baseline check ./...
-
-# Apply every suggested fix carried by surviving diagnostics: edits are
-# spliced atomically and the result is gofmt-clean. Running it twice is a
-# no-op (CI asserts this), because a fixed finding no longer fires.
-lint-fix:
-	go run ./cmd/rups-lint -baseline lint-baseline.json -fix ./...
-
-# The interval-ranked allocation worklist: the hottest sites by loop
-# multiplicity × interval-derived size, the input to the next perf PR.
-allocreport:
-	go run ./cmd/rups-lint -allocreport 7 ./...
 
 # The perf trajectory: run the search, engine, warm-start, and
 # telemetry-overhead benchmarks, then merge the current record with the

@@ -13,10 +13,6 @@
 //	rups-lint -baseline lint-baseline.json ./...
 //	rups-lint -baseline lint-baseline.json -prune-baseline check ./...
 //	rups-lint -list-ignores        # audit every lint:ignore directive
-//	rups-lint -fix ./...           # apply suggested fixes, gofmt-clean
-//	rups-lint -allocreport 7 ./... # top 7 allocation sites by loop cost
-//	rups-lint -debug ./...         # phase timings and suppression facts
-//	rups-lint -parallel 4 ./...    # bound the per-package worker pool
 //
 // Suppress an individual false positive with a mandatory reason:
 //
@@ -33,14 +29,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"rups/internal/analysis"
-	"rups/internal/analysis/allocdiscipline"
 	"rups/internal/analysis/atomiccheck"
-	"rups/internal/analysis/boundsproof"
 	"rups/internal/analysis/chanclose"
 	"rups/internal/analysis/ctxguard"
 	"rups/internal/analysis/dataflow"
@@ -53,7 +45,6 @@ import (
 	"rups/internal/analysis/naninguard"
 	"rups/internal/analysis/obsdiscipline"
 	"rups/internal/analysis/timedet"
-	"rups/internal/analysis/widenconv"
 	"rups/internal/analysis/wiretaint"
 )
 
@@ -61,9 +52,7 @@ import (
 // implementing the internal/analysis.Analyzer interface and listing it
 // here.
 var analyzers = []*analysis.Analyzer{
-	allocdiscipline.Analyzer,
 	atomiccheck.Analyzer,
-	boundsproof.Analyzer,
 	chanclose.Analyzer,
 	ctxguard.Analyzer,
 	errflow.Analyzer,
@@ -74,7 +63,6 @@ var analyzers = []*analysis.Analyzer{
 	naninguard.Analyzer,
 	obsdiscipline.Analyzer,
 	timedet.Analyzer,
-	widenconv.Analyzer,
 	wiretaint.Analyzer,
 }
 
@@ -88,10 +76,6 @@ func main() {
 	pruneBaseline := flag.String("prune-baseline", "", "with -baseline: \"check\" exits 1 if any entry no longer fires, \"rewrite\" drops stale entries from the file")
 	listIgnores := flag.Bool("list-ignores", false, "print every lint:ignore directive; exit 1 if any lacks a justification")
 	tags := flag.String("tags", "", "comma-separated build tags: lint the tagged variant of every package")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source tree (atomic, gofmt-clean) and exit 0")
-	allocReport := flag.Int("allocreport", 0, "print the top N allocation sites ranked by loop-depth cost and exit 0")
-	debug := flag.Bool("debug", false, "print phase wall-clock timings and suppression-fact counts to stderr")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently (1 = sequential; output is identical either way)")
 	flag.Parse()
 
 	if *pruneBaseline != "" {
@@ -132,7 +116,6 @@ func main() {
 	if *tags != "" {
 		tagList = strings.Split(*tags, ",")
 	}
-	loadStart := time.Now()
 	pkgs, err := loader.LoadTags(cwd, tagList, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
@@ -143,50 +126,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rups-lint: %s: %v\n", p.Path, terr)
 		}
 	}
-	loadDur := time.Since(loadStart)
 
 	if *listIgnores {
 		os.Exit(reportIgnores(pkgs, cwd))
 	}
 
 	// One interprocedural program is shared by every analyzer in the
-	// roster: call graph, effect summaries, interval fixpoint, and
-	// cross-package taint are computed once, not per analyzer.
-	progStart := time.Now()
-	prog := dataflow.NewProgram(pkgs)
-	progDur := time.Since(progStart)
-
-	if *allocReport > 0 {
-		sites := allocdiscipline.Report(prog)
-		fmt.Print(allocdiscipline.FormatReport(sites, *allocReport))
-		if *debug {
-			fmt.Fprintf(os.Stderr, "rups-lint: load %v, program %v, %d site(s) total\n",
-				loadDur.Round(time.Millisecond), progDur.Round(time.Millisecond), len(sites))
-		}
-		return
-	}
-
-	runStart := time.Now()
-	res, err := analysis.RunAll(pkgs, roster, prog, *parallel)
+	// roster: call graph, effect summaries, and cross-package taint are
+	// computed once, not per analyzer.
+	diags, err := analysis.Run(pkgs, roster, dataflow.NewProgram(pkgs))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
 		os.Exit(2)
-	}
-	diags := res.Diags
-	if *debug {
-		fmt.Fprintf(os.Stderr, "rups-lint: load %v, program %v, analysis %v (%d worker(s))\n",
-			loadDur.Round(time.Millisecond), progDur.Round(time.Millisecond),
-			time.Since(runStart).Round(time.Millisecond), *parallel)
-		fmt.Fprintf(os.Stderr, "rups-lint: %d suppression fact(s) retired %d finding(s)\n",
-			len(res.Facts), res.Suppressed)
-		for _, s := range res.Facts {
-			file := s.Start.Filename
-			if rel, err := relPath(cwd, file); err == nil {
-				file = rel
-			}
-			fmt.Fprintf(os.Stderr, "rups-lint: fact %s:%d-%d retires %s: %s\n",
-				file, s.Start.Line, s.End.Line, s.Analyzer, s.Why)
-		}
 	}
 
 	if *writeBaseline != "" {
@@ -227,23 +178,6 @@ func main() {
 			return
 		}
 		diags = b.Filter(diags, cwd)
-	}
-
-	if *fix {
-		fr, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, f := range fr.Files {
-			if rel, err := relPath(cwd, f); err == nil {
-				f = rel
-			}
-			fmt.Fprintf(os.Stderr, "rups-lint: fixed %s\n", f)
-		}
-		fmt.Fprintf(os.Stderr, "rups-lint: %d fix(es) applied, %d skipped (overlap), %d file(s) rewritten\n",
-			fr.Applied, fr.Skipped, len(fr.Files))
-		return
 	}
 
 	if *jsonOut {

@@ -15,6 +15,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -49,7 +50,6 @@ type Pass struct {
 	Program any
 
 	diags []Diagnostic
-	supps []SuppressRange
 }
 
 // Diagnostic is one reported problem.
@@ -57,9 +57,6 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Fixes carries suggested repairs the driver's -fix mode can apply;
-	// see fix.go. Nil for purely advisory diagnostics.
-	Fixes []Fix
 }
 
 // String formats the diagnostic the way compilers do, with the analyzer
@@ -83,58 +80,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run applies every analyzer to every package and returns the surviving
-// diagnostics sorted by position. Diagnostics on lines covered by a
-// matching //lint:ignore directive are dropped.
-func Run(pkgs []*loader.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunWithProgram(pkgs, analyzers, nil)
-}
-
-// RunWithProgram is Run with program-wide facts attached to every pass.
-// Drivers that load multiple packages build one *dataflow.Program over all
-// of them and pass it here, so interprocedural analyzers see call edges and
-// effect summaries across package boundaries instead of rebuilding a
-// single-package view per pass.
-func RunWithProgram(pkgs []*loader.Package, analyzers []*Analyzer, program any) ([]Diagnostic, error) {
-	res, err := RunAll(pkgs, analyzers, program, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
-}
-
-// RunResult is the full outcome of one analyzer run.
-type RunResult struct {
-	// Diags are the surviving diagnostics, sorted by position.
-	Diags []Diagnostic
-	// Suppressed counts diagnostics retired by suppression facts.
-	Suppressed int
-	// Facts are the suppression facts every pass emitted, sorted; see
-	// suppress.go.
-	Facts []SuppressRange
-}
-
-// RunAll applies every analyzer to every package on up to workers
-// goroutines and returns the surviving diagnostics sorted by position.
-// Packages are the unit of parallelism: one worker runs the full roster
-// over one package, so per-package state (ignore directives, suppression
-// facts) never crosses a goroutine. Because diagnostics are merged in
-// package order and then fully sorted — position, analyzer, message —
-// output is byte-identical for every worker count.
+// diagnostics sorted by position. program is attached to every pass as
+// Pass.Program (nil when the caller built none).
 //
+// Packages are the unit of parallelism: one worker per GOMAXPROCS runs the
+// full roster over one package, so per-package state (ignore directives)
+// never crosses a goroutine. Diagnostics are fully sorted — position,
+// analyzer, message — so the output does not depend on scheduling.
 // Diagnostics on lines covered by a matching //lint:ignore directive are
-// dropped, then diagnostics covered by a suppression fact (from any
-// package's passes) are retired.
-func RunAll(pkgs []*loader.Package, analyzers []*Analyzer, program any, workers int) (*RunResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-
+// dropped.
+func Run(pkgs []*loader.Package, analyzers []*Analyzer, program any) ([]Diagnostic, error) {
 	type pkgOut struct {
 		diags []Diagnostic
-		supps []SuppressRange
 		err   error
 	}
 	outs := make([]pkgOut, len(pkgs))
@@ -159,44 +116,33 @@ func RunAll(pkgs []*loader.Package, analyzers []*Analyzer, program any, workers 
 					outs[i].diags = append(outs[i].diags, d)
 				}
 			}
-			outs[i].supps = append(outs[i].supps, pass.supps...)
 		}
 	}
 
-	if workers <= 1 {
-		for i := range pkgs {
-			runPkg(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runPkg(i)
-				}
-			}()
-		}
-		for i := range pkgs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(pkgs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				runPkg(i)
+			}
+		}()
 	}
+	for i := range pkgs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 
-	res := &RunResult{}
 	var all []Diagnostic
 	for i := range outs {
 		if outs[i].err != nil {
 			return nil, outs[i].err
 		}
 		all = append(all, outs[i].diags...)
-		res.Facts = append(res.Facts, outs[i].supps...)
 	}
-	sortSuppressions(res.Facts)
-	all, res.Suppressed = applySuppressions(all, res.Facts)
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].Pos, all[j].Pos
 		if a.Filename != b.Filename {
@@ -213,6 +159,5 @@ func RunAll(pkgs []*loader.Package, analyzers []*Analyzer, program any, workers 
 		}
 		return all[i].Message < all[j].Message
 	})
-	res.Diags = all
-	return res, nil
+	return all, nil
 }

@@ -54,7 +54,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 			t.Errorf("%s: type errors in golden package: %v", lp.Path, lp.TypeErrors)
 		}
 	}
-	diags, err := analysis.RunWithProgram(loaded, []*analysis.Analyzer{a}, dataflow.NewProgram(loaded))
+	diags, err := analysis.Run(loaded, []*analysis.Analyzer{a}, dataflow.NewProgram(loaded))
 	if err != nil {
 		t.Errorf("%v: %v", pkgs, err)
 		return

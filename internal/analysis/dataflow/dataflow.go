@@ -198,9 +198,7 @@ type Summary struct {
 type Analysis struct {
 	pass      *analysis.Pass
 	Flows     []*FuncFlow
-	byDecl    map[*ast.FuncDecl]*FuncFlow
 	summaries map[*types.Func]*Summary
-	interp    *Interp
 
 	// foreign resolves call summaries for functions outside this package.
 	// The interprocedural Program installs it so cross-package calls see
@@ -213,7 +211,6 @@ type Analysis struct {
 func New(pass *analysis.Pass) *Analysis {
 	a := &Analysis{
 		pass:      pass,
-		byDecl:    make(map[*ast.FuncDecl]*FuncFlow),
 		summaries: make(map[*types.Func]*Summary),
 	}
 	for _, file := range pass.Files {
@@ -224,11 +221,9 @@ func New(pass *analysis.Pass) *Analysis {
 			}
 			flow := buildFlow(pass, fd)
 			a.Flows = append(a.Flows, flow)
-			a.byDecl[fd] = flow
 		}
 	}
 	a.computeSummaries()
-	a.interp = newInterp(a)
 	return a
 }
 

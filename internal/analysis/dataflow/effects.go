@@ -2,8 +2,8 @@ package dataflow
 
 // Effect summaries: one linear walk per declared function collects the
 // direct facts (channel operations, lock acquisitions in order, atomic
-// versus plain field access, wall-clock/randomness/telemetry sources,
-// outgoing call sites with their concurrency context), then a monotone
+// versus plain field access, wall-clock/randomness sources, metric-handle
+// construction, outgoing call sites with their concurrency context), then a monotone
 // whole-program fixpoint propagates the reachability facts across the
 // call graph — including name-structural resolution of interface-method
 // calls.
@@ -44,20 +44,14 @@ type Effects struct {
 	RandWhat    string
 	RandSites   []SourceSite
 
-	// RawObs reports a path to a raw registry/recorder lookup
-	// (obs.Default / obs.ActiveRecorder) outside the sanctioned View
-	// cache. ObsVia/ObsWhat mirror the time fields; RawObsSites are the
-	// direct lookups, HandleSites the metric-handle constructions outside
-	// a NewView build function.
-	RawObs      bool
-	ObsVia      *CallSite
-	ObsWhat     string
-	RawObsSites []SourceSite
+	// HandleSites are the function's metric-handle constructions
+	// (Registry.Counter/Gauge/Histogram) outside an obs.NewView build
+	// function. They are direct facts only; nothing propagates.
 	HandleSites []SourceSite
 }
 
 // SourceSite is a Site plus the name of the source it touches
-// (e.g. "time.Now", "obs.ActiveRecorder", "Registry.Counter").
+// (e.g. "time.Now", "Registry.Counter").
 type SourceSite struct {
 	Site
 	What string
@@ -153,8 +147,7 @@ func (w *effWalker) isOnceDo(call *ast.CallExpr) bool {
 // construction is sanctioned.
 func (w *effWalker) inViewBuild() bool {
 	for i, anc := range w.stack {
-		lit, ok := anc.(*ast.FuncLit)
-		if !ok || i == 0 {
+		if _, ok := anc.(*ast.FuncLit); !ok || i == 0 {
 			continue
 		}
 		call, ok := w.stack[i-1].(*ast.CallExpr)
@@ -163,7 +156,6 @@ func (w *effWalker) inViewBuild() bool {
 		}
 		if fn := calleeFunc(w.pf.Info, call); fn != nil && fn.Name() == "NewView" &&
 			fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/obs") {
-			_ = lit
 			return true
 		}
 	}
@@ -285,42 +277,23 @@ func (w *effWalker) call(n *ast.CallExpr) {
 		}
 		return
 	}
-	if strings.HasSuffix(pkgPath, "internal/obs") || strings.HasSuffix(pkgPath, "internal/obs/flight") {
-		w.obsCall(n, callee, sig)
+	if strings.HasSuffix(pkgPath, "internal/obs") {
+		w.handleCall(n, callee, sig)
 	}
 	w.recordCallSite(n, callee, sig)
 }
 
-func (w *effWalker) obsCall(n *ast.CallExpr, callee *types.Func, sig *types.Signature) {
-	eff := w.pf.Effects
-	name := callee.Name()
-	raw := ""
-	if sig != nil && sig.Recv() == nil {
-		switch {
-		case name == "Default" || name == "ActiveRecorder":
-			raw = "obs." + name
-		case name == "Active" && callee.Pkg() != nil &&
-			strings.HasSuffix(callee.Pkg().Path(), "internal/obs/flight"):
-			// The flight ring's default lookup follows the same discipline
-			// as the obs registry/recorder: fetch once, cache the handle.
-			raw = "flight.Active"
-		}
-	}
-	if raw != "" {
-		s := SourceSite{Site: w.site(n.Pos()), What: raw}
-		eff.RawObsSites = append(eff.RawObsSites, s)
-		if !eff.RawObs && !w.pf.sanctionedObs {
-			eff.RawObs, eff.ObsWhat = true, s.What
-		}
+// handleCall records metric-handle construction outside a NewView build.
+func (w *effWalker) handleCall(n *ast.CallExpr, callee *types.Func, sig *types.Signature) {
+	if sig == nil || sig.Recv() == nil || !strings.HasSuffix(typeID(sig.Recv().Type()), ".Registry") {
 		return
 	}
-	if sig != nil && sig.Recv() != nil && strings.HasSuffix(typeID(sig.Recv().Type()), ".Registry") {
-		switch name {
-		case "Counter", "Gauge", "Histogram":
-			if !w.inViewBuild() {
-				eff.HandleSites = append(eff.HandleSites,
-					SourceSite{Site: w.site(n.Pos()), What: "Registry." + name})
-			}
+	switch callee.Name() {
+	case "Counter", "Gauge", "Histogram":
+		if !w.inViewBuild() {
+			eff := w.pf.Effects
+			eff.HandleSites = append(eff.HandleSites,
+				SourceSite{Site: w.site(n.Pos()), What: "Registry." + callee.Name()})
 		}
 	}
 }
@@ -585,8 +558,8 @@ func (p *Program) addEdge(from, to string, pos token.Pos, pf *ProgFunc, via stri
 
 // ---- whole-program fixpoint --------------------------------------------
 
-// fixpoint propagates reachability facts (time/rand sources, raw obs
-// lookups, transitive lock acquisitions and the ordering edges they imply)
+// fixpoint propagates reachability facts (time/rand sources, transitive
+// lock acquisitions and the ordering edges they imply)
 // across the call graph until nothing changes. Every fact is monotone —
 // booleans only flip to true, sets only grow — so termination is
 // guaranteed; the via pointers are set exactly once, on the round a fact
@@ -613,10 +586,6 @@ func (p *Program) fixpoint() {
 					}
 					if ce.ReachesRand && !eff.ReachesRand {
 						eff.ReachesRand, eff.RandVia = true, cs
-						changed = true
-					}
-					if ce.RawObs && !eff.RawObs && !pf.sanctionedObs {
-						eff.RawObs, eff.ObsVia = true, cs
 						changed = true
 					}
 					for l := range ce.Acquires {
@@ -711,13 +680,6 @@ func (p *Program) RandChain(pf *ProgFunc) []string {
 	return p.chain(pf,
 		func(e *Effects) (*CallSite, string) { return e.RandVia, e.RandWhat },
 		func(e *Effects) bool { return e.ReachesRand })
-}
-
-// ObsChain is TimeChain for raw telemetry lookups.
-func (p *Program) ObsChain(pf *ProgFunc) []string {
-	return p.chain(pf,
-		func(e *Effects) (*CallSite, string) { return e.ObsVia, e.ObsWhat },
-		func(e *Effects) bool { return e.RawObs })
 }
 
 func (p *Program) chain(pf *ProgFunc, step func(*Effects) (*CallSite, string), has func(*Effects) bool) []string {

@@ -3,7 +3,7 @@
 // every loaded package, a static call graph between them, and per-function
 // effect summaries (channel operations, lock acquisition order, atomic
 // versus plain field access, wall-clock and global-randomness sources,
-// telemetry-handle discipline) computed to a cross-package fixpoint.
+// metric-handle construction) computed to a cross-package fixpoint.
 //
 // The loader type-checks each target package from source while its
 // importers see export-data twins of the same packages, so *types.Object
@@ -19,7 +19,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 	"sync"
 
 	"rups/internal/analysis"
@@ -47,16 +46,6 @@ type Program struct {
 	// analyzers reach concurrently once the driver parallelizes packages.
 	dynMu    sync.Mutex
 	dynCache map[string][]*ProgFunc // interface method ID → matching impls
-
-	// ivalRets holds the interval fixpoint's per-function return
-	// intervals, keyed by canonical function ID (see computeIntervals).
-	ivalRets map[string]Interval
-
-	// ivalNoNarrow marks functions whose identifier is referenced outside
-	// call position somewhere in the load: calls through the escaped value
-	// are invisible to the call-site walk, so parameter narrowing is
-	// unsound for them (see collectValueRefFuncs).
-	ivalNoNarrow map[string]bool
 }
 
 // ProgFunc is one declared function (methods included) with its syntax,
@@ -69,12 +58,6 @@ type ProgFunc struct {
 	Info    *types.Info
 	Calls   []*CallSite
 	Effects *Effects
-
-	// sanctionedObs marks functions inside internal/obs itself: the View
-	// cache and friends are the sanctioned owners of raw registry lookups,
-	// so they record their sites but do not export the RawObs effect —
-	// otherwise every cached View.Get chain would flag as a raw lookup.
-	sanctionedObs bool
 }
 
 // CallSite is one static call edge out of a declared function. Calls from
@@ -234,14 +217,12 @@ func newProgram(passes []*analysis.Pass) *Program {
 					continue
 				}
 				pf := &ProgFunc{
-					ID:            FuncID(fn),
-					Fn:            fn,
-					Decl:          fd,
-					Pkg:           pass.Pkg,
-					Info:          pass.TypesInfo,
-					Effects:       newEffects(),
-					sanctionedObs: strings.HasSuffix(pass.Pkg.Path(), "internal/obs") ||
-						strings.HasSuffix(pass.Pkg.Path(), "internal/obs/flight"),
+					ID:      FuncID(fn),
+					Fn:      fn,
+					Decl:    fd,
+					Pkg:     pass.Pkg,
+					Info:    pass.TypesInfo,
+					Effects: newEffects(),
 				}
 				p.funcs = append(p.funcs, pf)
 				p.byID[pf.ID] = pf
@@ -275,10 +256,6 @@ func newProgram(passes []*analysis.Pass) *Program {
 		}
 	}
 
-	// Interval layer: interprocedural argument/return interval propagation
-	// over the same per-package analyses, to a widened fixpoint.
-	p.computeIntervals(passes)
-
 	sort.Strings(p.chanKeys)
 	sort.Strings(p.fieldIDs)
 	sort.Slice(p.lockEdges, func(i, j int) bool {
@@ -311,30 +288,8 @@ func (p *Program) foreignSummary(self *types.Package) func(*types.Func) *Summary
 // Functions returns every declared function in declaration order.
 func (p *Program) Functions() []*ProgFunc { return p.funcs }
 
-// Fset is the shared fileset every loaded package was parsed into.
-func (p *Program) Fset() *token.FileSet { return p.fset }
-
-// Func resolves a function (possibly an export-data twin from another
-// package's view) to its program entry, or nil when it is not part of the
-// load (standard library, unexported foreign helpers, interface methods).
-func (p *Program) Func(fn *types.Func) *ProgFunc {
-	if fn == nil {
-		return nil
-	}
-	return p.byID[FuncID(fn)]
-}
-
 // FuncByID resolves a canonical function ID.
 func (p *Program) FuncByID(id string) *ProgFunc { return p.byID[id] }
-
-// EffectsOf returns fn's effect summary, or nil for functions outside the
-// load.
-func (p *Program) EffectsOf(fn *types.Func) *Effects {
-	if pf := p.Func(fn); pf != nil {
-		return pf.Effects
-	}
-	return nil
-}
 
 // ChanKeys lists every abstract channel with at least one recorded
 // operation, sorted.

@@ -1,20 +1,13 @@
-// Package obsdiscipline enforces the telemetry layer's documented
-// zero-alloc disabled-path contract: instrument sites fetch handles
-// through a cached obs.View (one atomic load per call), never by raw
-// registry lookup or handle construction on a per-iteration or per-resolve
-// path. It flags:
+// Package obsdiscipline enforces the telemetry layer's handle contract:
+// metric handles (Registry.Counter/Gauge/Histogram) are process-lifetime
+// objects, built once inside an obs.NewView build function and fetched
+// through the cached View. A handle constructed anywhere else is flagged.
 //
-//   - raw obs.Default / obs.ActiveRecorder / flight.Active lookups written
-//     inside a loop;
-//   - loop-resident calls whose loaded callee transitively performs a raw
-//     lookup (the lookup runs per iteration even though it is written
-//     elsewhere), with the call chain spelled out;
-//   - metric handle construction (Registry.Counter/Gauge/Histogram)
-//     anywhere outside an obs.NewView build function — handles are
-//     process-lifetime objects, built once.
-//
-// View.Get is the sanctioned cache and never flagged; internal/obs itself
-// is the owner of the raw lookups and exempt.
+// Raw obs.Default / obs.ActiveRecorder / flight.Active lookups are not
+// flagged, in loops or out: each is a single atomic pointer load, the
+// same cost as the sanctioned View.Get (which calls obs.Default itself),
+// and the lookup must be re-read per operation so recorder swaps take
+// effect. internal/obs itself owns the registry and is exempt.
 package obsdiscipline
 
 import (
@@ -24,69 +17,27 @@ import (
 	"rups/internal/analysis/dataflow"
 )
 
-// Analyzer flags telemetry lookups and handle construction off the cached
-// obs.View path.
+// Analyzer flags metric handle construction off the cached obs.View path.
 var Analyzer = &analysis.Analyzer{
 	Name: "obsdiscipline",
-	Doc: "flags raw obs registry/recorder lookups in loops and metric handle " +
-		"construction outside obs.NewView builds (the cached-View contract)",
+	Doc: "flags metric handle construction (Registry.Counter/Gauge/Histogram) " +
+		"outside obs.NewView builds (the cached-View contract)",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	if strings.HasSuffix(pass.Pkg.Path(), "internal/obs") ||
-		strings.HasSuffix(pass.Pkg.Path(), "internal/obs/flight") {
-		return nil // the telemetry layers own their raw lookups
+	if strings.HasSuffix(pass.Pkg.Path(), "internal/obs") {
+		return nil // the telemetry layer owns its registry
 	}
-	prog := dataflow.ProgramOf(pass)
-	for _, pf := range prog.Functions() {
+	for _, pf := range dataflow.ProgramOf(pass).Functions() {
 		if pf.Pkg.Path() != pass.Pkg.Path() {
 			continue
 		}
-		eff := pf.Effects
-		for _, s := range eff.RawObsSites {
-			if !s.InLoop {
-				continue
-			}
-			hint := "cache handles in a package-level obs.View and call Get once per operation"
-			if s.What == "flight.Active" {
-				hint = "fetch the ring handle once outside the loop and reuse it"
-			}
-			pass.Reportf(s.Pos, "raw %s lookup inside a loop: %s", s.What, hint)
-		}
-		for _, s := range eff.HandleSites {
+		for _, s := range pf.Effects.HandleSites {
 			pass.Reportf(s.Pos, "%s creates a metric handle outside an obs.NewView "+
 				"build function: handles are process-lifetime, construct them once "+
 				"in a view", s.What)
 		}
-		reportLoopCalls(pass, prog, pf)
 	}
 	return nil
-}
-
-// reportLoopCalls flags loop-resident calls whose callee transitively does
-// a raw lookup — one report per (function, callee), since a tick loop
-// usually repeats the same call.
-func reportLoopCalls(pass *analysis.Pass, prog *dataflow.Program, pf *dataflow.ProgFunc) {
-	seen := make(map[string]bool)
-	for _, cs := range pf.Calls {
-		if !cs.InLoop || seen[cs.CalleeID] {
-			continue
-		}
-		var callee *dataflow.ProgFunc
-		for _, cal := range prog.Callees(cs) {
-			if cal.Effects.RawObs {
-				callee = cal
-				break
-			}
-		}
-		if callee == nil {
-			continue
-		}
-		seen[cs.CalleeID] = true
-		hops := append([]string{dataflow.FuncLabel(cs.Callee)}, prog.ObsChain(callee)...)
-		pass.Reportf(cs.Pos, "call in a loop reaches a raw telemetry lookup (%s): "+
-			"the lookup runs per iteration; cache handles in an obs.View outside "+
-			"the loop", strings.Join(hops, " -> "))
-	}
 }

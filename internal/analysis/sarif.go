@@ -44,22 +44,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	Fixes     []sarifFix      `json:"fixes,omitempty"`
-}
-
-type sarifFix struct {
-	Description     sarifMessage          `json:"description"`
-	ArtifactChanges []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Replacements     []sarifReplacement    `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifRegion  `json:"deletedRegion"`
-	InsertedContent sarifMessage `json:"insertedContent"`
 }
 
 type sarifMessage struct {
@@ -82,8 +66,6 @@ type sarifArtifactLocation struct {
 type sarifRegion struct {
 	StartLine   int `json:"startLine"`
 	StartColumn int `json:"startColumn,omitempty"`
-	EndLine     int `json:"endLine,omitempty"`
-	EndColumn   int `json:"endColumn,omitempty"`
 }
 
 // WriteSARIF renders diagnostics as a SARIF 2.1.0 log. Rules cover every
@@ -112,7 +94,6 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer, root str
 					Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 				},
 			}},
-			Fixes: sarifFixes(d.Fixes, root),
 		})
 	}
 
@@ -127,39 +108,6 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer, root str
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// sarifFixes serializes suggested fixes: one artifactChange per edited
-// file, each edit a replacement whose deletedRegion spans [Pos, End).
-func sarifFixes(fixes []Fix, root string) []sarifFix {
-	out := make([]sarifFix, 0, len(fixes))
-	for _, f := range fixes {
-		byFile := make(map[string][]sarifReplacement)
-		var order []string
-		for _, e := range f.Edits {
-			if _, seen := byFile[e.Pos.Filename]; !seen {
-				order = append(order, e.Pos.Filename)
-			}
-			byFile[e.Pos.Filename] = append(byFile[e.Pos.Filename], sarifReplacement{
-				DeletedRegion: sarifRegion{
-					StartLine:   e.Pos.Line,
-					StartColumn: e.Pos.Column,
-					EndLine:     e.End.Line,
-					EndColumn:   e.End.Column,
-				},
-				InsertedContent: sarifMessage{Text: e.NewText},
-			})
-		}
-		sf := sarifFix{Description: sarifMessage{Text: f.Message}}
-		for _, file := range order {
-			sf.ArtifactChanges = append(sf.ArtifactChanges, sarifArtifactChange{
-				ArtifactLocation: sarifArtifactLocation{URI: relativeURI(root, file)},
-				Replacements:     byFile[file],
-			})
-		}
-		out = append(out, sf)
-	}
-	return out
 }
 
 // relativeURI rewrites an absolute filename relative to the repo root,

@@ -99,72 +99,6 @@ func TestWriteSARIF(t *testing.T) {
 	}
 }
 
-// TestWriteSARIFFixesRoundTrip serializes a diagnostic carrying a
-// suggested fix and decodes it back through the in-package SARIF types:
-// the fix's description, file, region, and inserted text all survive.
-func TestWriteSARIFFixesRoundTrip(t *testing.T) {
-	diags := []Diagnostic{{
-		Analyzer: "allocdiscipline",
-		Pos:      token.Position{Filename: "/repo/internal/engine/engine.go", Line: 190, Column: 12},
-		Message:  "append loop provably adds at most 12 elements",
-		Fixes: []Fix{{
-			Message: "preallocate with make([]float64, 0, 12)",
-			Edits: []TextEdit{{
-				Pos:     token.Position{Filename: "/repo/internal/engine/engine.go", Line: 190, Column: 30, Offset: 4200},
-				End:     token.Position{Filename: "/repo/internal/engine/engine.go", Line: 190, Column: 30, Offset: 4200},
-				NewText: ", 12",
-			}},
-		}},
-	}}
-
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, diags, []*Analyzer{{Name: "allocdiscipline", Doc: "d"}}, "/repo"); err != nil {
-		t.Fatalf("WriteSARIF: %v", err)
-	}
-	var log sarifLog
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	res := log.Runs[0].Results[0]
-	if len(res.Fixes) != 1 {
-		t.Fatalf("got %d fixes, want 1", len(res.Fixes))
-	}
-	fix := res.Fixes[0]
-	if fix.Description.Text != "preallocate with make([]float64, 0, 12)" {
-		t.Errorf("description = %q", fix.Description.Text)
-	}
-	if len(fix.ArtifactChanges) != 1 {
-		t.Fatalf("got %d artifactChanges, want 1", len(fix.ArtifactChanges))
-	}
-	ch := fix.ArtifactChanges[0]
-	if ch.ArtifactLocation.URI != "internal/engine/engine.go" {
-		t.Errorf("fix URI = %q, want repo-relative internal/engine/engine.go", ch.ArtifactLocation.URI)
-	}
-	if len(ch.Replacements) != 1 {
-		t.Fatalf("got %d replacements, want 1", len(ch.Replacements))
-	}
-	rep := ch.Replacements[0]
-	if rep.InsertedContent.Text != ", 12" {
-		t.Errorf("insertedContent = %q, want %q", rep.InsertedContent.Text, ", 12")
-	}
-	if rep.DeletedRegion.StartLine != 190 || rep.DeletedRegion.StartColumn != 30 ||
-		rep.DeletedRegion.EndLine != 190 || rep.DeletedRegion.EndColumn != 30 {
-		t.Errorf("deletedRegion = %+v, want a zero-width region at 190:30", rep.DeletedRegion)
-	}
-	// A diagnostic without fixes must omit the key entirely.
-	var generic map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &generic); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := WriteSARIF(&buf2, []Diagnostic{{Analyzer: "allocdiscipline", Message: "m"}}, []*Analyzer{{Name: "allocdiscipline", Doc: "d"}}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf2.Bytes(), []byte(`"fixes"`)) {
-		t.Error("fix-free diagnostic serialized a fixes key")
-	}
-}
-
 func TestWriteSARIFEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, nil, []*Analyzer{{Name: "x", Doc: "d"}}, ""); err != nil {

@@ -650,17 +650,3 @@ func (e *Engine) ResolveAll(trajs []*trajectory.Aware, p core.Params) ([]Result,
 	}
 	return b.ResolveAll(p), nil
 }
-
-// Resolve answers a single pair through the pool (admitting both
-// trajectories first). The batch entry points amortize better; this exists
-// for callers resolving one query at a time. Returns ErrClosed after Close.
-func (e *Engine) Resolve(a, b *trajectory.Aware, p core.Params) (core.Estimate, bool, error) {
-	batch, err := e.Admit(a, b)
-	if err != nil {
-		return core.Estimate{}, false, err
-	}
-	s := core.NewSearcher(batch.snaps[0], batch.snaps[1], p)
-	defer s.Release()
-	est, ok := s.Resolve(e.run)
-	return est, ok, nil
-}

@@ -205,20 +205,24 @@ func TestEngineDegenerate(t *testing.T) {
 	}
 }
 
-// TestEngineResolveSingle: the one-pair convenience entry matches the
-// oracle too.
+// TestEngineResolveSingle: a one-pair query through Admit + ResolvePairs
+// matches the oracle too.
 func TestEngineResolveSingle(t *testing.T) {
 	trajs := syntheticConvoy(5, 2, 300, 25, 1.0)
 	p := convoyParams()
 	e := engine.New(0)
 	defer e.Close()
-	gotEst, gotOK, err := e.Resolve(trajs[0], trajs[1], p)
+	batch, err := e.Admit(trajs[0], trajs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := batch.ResolvePairs([][2]int{{0, 1}}, p)
+	if len(res) != 1 {
+		t.Fatalf("resolved %d pairs, want 1", len(res))
+	}
 	wantEst, wantOK := core.Resolve(trajs[0], trajs[1], p)
-	if gotOK != wantOK || !reflect.DeepEqual(gotEst, wantEst) {
-		t.Fatalf("single resolve diverged: %+v vs %+v", gotEst, wantEst)
+	if res[0].OK != wantOK || !reflect.DeepEqual(res[0].Est, wantEst) {
+		t.Fatalf("single resolve diverged: %+v vs %+v", res[0].Est, wantEst)
 	}
 }
 
@@ -246,8 +250,8 @@ func TestEngineAdmitAfterClose(t *testing.T) {
 	if _, err := e.ResolveAll(trajs, p); err != engine.ErrClosed {
 		t.Fatalf("ResolveAll after Close: err = %v, want ErrClosed", err)
 	}
-	if _, _, err := e.Resolve(trajs[0], trajs[1], p); err != engine.ErrClosed {
-		t.Fatalf("Resolve after Close: err = %v, want ErrClosed", err)
+	if _, err := e.Admit(trajs[0], trajs[1]); err != engine.ErrClosed {
+		t.Fatalf("single-pair Admit after Close: err = %v, want ErrClosed", err)
 	}
 
 	res := batch.ResolveAll(p)

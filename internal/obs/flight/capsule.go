@@ -103,9 +103,7 @@ func EncodeCapsule(meta Meta, events []Event) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.T))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(ev.Kind))
 		buf = binary.LittleEndian.AppendUint16(buf, 0)
-		//lint:ignore widenconv deliberate two's-complement round-trip: the reader undoes it bit-exactly
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(ev.A))
-		//lint:ignore widenconv deliberate two's-complement round-trip: the reader undoes it bit-exactly
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(ev.B))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.V1))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.V2))
@@ -151,12 +149,10 @@ func DecodeCapsule(b []byte) (Meta, []Event, error) {
 			Seq:  binary.LittleEndian.Uint64(r[0:]),
 			T:    math.Float64frombits(binary.LittleEndian.Uint64(r[8:])),
 			Kind: Kind(binary.LittleEndian.Uint16(r[16:])),
-			//lint:ignore widenconv deliberate two's-complement round-trip of the writer's packing
-			A: int32(binary.LittleEndian.Uint32(r[20:])),
-			//lint:ignore widenconv deliberate two's-complement round-trip of the writer's packing
-			B:  int32(binary.LittleEndian.Uint32(r[24:])),
-			V1: int64(binary.LittleEndian.Uint64(r[28:])),
-			V2: int64(binary.LittleEndian.Uint64(r[36:])),
+			A:    int32(binary.LittleEndian.Uint32(r[20:])),
+			B:    int32(binary.LittleEndian.Uint32(r[24:])),
+			V1:   int64(binary.LittleEndian.Uint64(r[28:])),
+			V2:   int64(binary.LittleEndian.Uint64(r[36:])),
 		}
 	}
 	return meta, events, nil

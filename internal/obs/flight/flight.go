@@ -9,11 +9,9 @@
 // be frozen and serialized to disk as a versioned capsule for offline
 // replay by cmd/rups-obs.
 //
-// The ring follows the obs discipline: the nil *Ring is a valid no-op,
-// the package default installs atomically, and hot loops must fetch the
-// handle once outside the loop (rups-lint's obsdiscipline analyzer flags
-// per-iteration flight.Active calls the same way it flags raw obs
-// lookups). Emit is lock-free — one atomic add to claim a slot plus a
+// The ring follows the obs discipline: the nil *Ring is a valid no-op and
+// the package default installs atomically, so Active is one atomic load
+// and may be called per operation. Emit is lock-free — one atomic add to claim a slot plus a
 // per-slot seqlock — and allocation-free in both the enabled and disabled
 // states.
 //
@@ -153,7 +151,6 @@ type slot struct {
 
 func (s *slot) store(ev Event) {
 	s.w[0].Store(floatBits(ev.T))
-	//lint:ignore widenconv deliberate two's-complement packing; load() undoes it bit-exactly
 	s.w[1].Store(uint64(uint32(ev.A))<<32 | uint64(uint32(ev.B)))
 	s.w[2].Store(uint64(ev.Kind))
 	s.w[3].Store(uint64(ev.V1))
@@ -166,12 +163,10 @@ func (s *slot) load(seq uint64) Event {
 		Seq:  seq,
 		T:    floatFrom(s.w[0].Load()),
 		Kind: Kind(s.w[2].Load()),
-		//lint:ignore widenconv deliberate two's-complement unpacking of store()'s word
-		A: int32(uint32(ab >> 32)),
-		//lint:ignore widenconv deliberate two's-complement unpacking of store()'s word
-		B:  int32(uint32(ab)),
-		V1: int64(s.w[3].Load()),
-		V2: int64(s.w[4].Load()),
+		A:    int32(uint32(ab >> 32)),
+		B:    int32(uint32(ab)),
+		V1:   int64(s.w[3].Load()),
+		V2:   int64(s.w[4].Load()),
 	}
 }
 
@@ -383,6 +378,5 @@ func Enable(r *Ring) { active.Store(r) }
 func Disable() { active.Store(nil) }
 
 // Active returns the enabled flight ring, or nil when recording is off.
-// Hot loops must call this once and cache the handle — obsdiscipline
-// enforces it.
+// It is a single atomic load, as cheap as a cached obs.View.Get.
 func Active() *Ring { return active.Load() }

@@ -145,10 +145,11 @@ func TestTailCountsMarks(t *testing.T) {
 }
 
 // TestSnapshotSurvivesLiveRewrites is the interning race hammer: while the
-// live trajectory is concurrently rewritten in place (COW swaps on pinned
-// chunks) AND extended past fresh chunk seams, readers iterating a
-// snapshot must always see the pre-snapshot values. Run with -race this
-// proves the sealed-chunk sharing contract.
+// live trajectory is rewritten in place (COW swaps on pinned chunks) AND
+// extended past fresh chunk seams, readers iterating a snapshot on another
+// goroutine must always see the pre-snapshot values. Run with -race this
+// proves the sealed-chunk sharing contract. Both mutations run on one
+// writer goroutine, because a trajectory has a single owning writer.
 func TestSnapshotSurvivesLiveRewrites(t *testing.T) {
 	const width, n = 8, 300
 	a := grown(n, width)
@@ -156,19 +157,8 @@ func TestSnapshotSurvivesLiveRewrites(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // history rewriter: forces COW swaps under the snapshot
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			a.SetPower(i%width, (i*37)%n, -1)
-		}
-	}()
-	go func() { // appender: grows the shared tail chunk and beyond
+	wg.Add(1)
+	go func() { // owner: rewrites history under the snapshot and appends
 		defer wg.Done()
 		power := make([]float64, width)
 		for i := 0; ; i++ {
@@ -177,6 +167,7 @@ func TestSnapshotSurvivesLiveRewrites(t *testing.T) {
 				return
 			default:
 			}
+			a.SetPower(i%width, (i*37)%n, -1)
 			for ch := range power {
 				power[ch] = -1
 			}

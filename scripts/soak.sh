@@ -4,10 +4,12 @@
 # Phase 1 — overload: a 500-vehicle fleet streams through a lossy,
 # corrupting link at roughly twice what the deliberately tight server
 # bounds can absorb, with stalled clients, malformed injection, and
-# mid-run epoch resets; partway through, the server takes SIGTERM and
-# must drain gracefully. The snapshot must prove the degradation was
-# explicit: refusals counted, vehicles evicted under the memory budget,
-# malformed input survived, exactly one drain.
+# mid-run epoch resets. Once the server has counted a share of the load's
+# queries (polled from its /metrics endpoint, not guessed with a timer),
+# it takes SIGTERM and must drain gracefully under live load. The snapshot
+# must prove the degradation was explicit: refusals counted, vehicles
+# evicted under the memory budget, malformed input survived, exactly one
+# drain; the loader must have seen the DRAIN notice.
 #
 # Phase 2 — clean restart: a fresh server under the same binary takes a
 # paced, fault-free fleet. The snapshot must prove the failure paths
@@ -20,6 +22,10 @@ set -euo pipefail
 out=${1:-soak-out}
 mkdir -p "$out"
 addr=127.0.0.1:7841
+debug=127.0.0.1:7842
+# Phase 1 sends roughly 12k queries; SIGTERM lands once about half have
+# reached the server, while the load is still running.
+drain_after=6000
 
 go build -o "$out/rups-serve" ./cmd/rups-serve
 go build -o "$out/rups-load" ./cmd/rups-load
@@ -37,8 +43,31 @@ wait_ready() {
   return 1
 }
 
+# wait_queries N PID: poll the server's /metrics until
+# rups_serve_queries_total reaches N. Fails if the loader (PID) exits
+# first or the count never gets there, since either means SIGTERM would
+# not land under live load.
+wait_queries() {
+  local n=0
+  for _ in $(seq 1 600); do
+    n=$(curl -fsS "http://$debug/metrics" 2>/dev/null |
+      awk '$1 == "rups_serve_queries_total" { print int($2) }')
+    if [ "${n:-0}" -ge "$1" ]; then
+      echo "soak: server counted $n queries; sending SIGTERM"
+      return 0
+    fi
+    if ! kill -0 "$2" 2>/dev/null; then
+      echo "soak: load finished at ${n:-0} queries, before the drain threshold $1" >&2
+      return 1
+    fi
+    sleep 0.05
+  done
+  echo "soak: server counted only ${n:-0} queries, want $1" >&2
+  return 1
+}
+
 echo "=== phase 1: overload + faults + mid-run SIGTERM ==="
-"$out/rups-serve" -addr "$addr" -workers 4 \
+"$out/rups-serve" -addr "$addr" -debug-addr "$debug" -workers 4 \
   -queue-cap 64 -per-conn 8 -mem-budget 262144 \
   -metrics-snapshot "$out/soak-overload.prom" 2>"$out/server-overload.log" &
 srv=$!
@@ -51,15 +80,26 @@ timeout 180 "$out/rups-load" -addr "$addr" \
   -require-progress >"$out/load-overload.txt" &
 load=$!
 
-sleep 6
+wait_queries "$drain_after" "$load"
 kill -TERM "$srv"
 wait "$srv"
 wait "$load"
 cat "$out/load-overload.txt"
 
+# The drain happened under live load: connected clients were told.
+notices=$(sed -n 's/.*drain_notices=\([0-9]*\).*/\1/p' "$out/load-overload.txt")
+if [ "${notices:-0}" -eq 0 ]; then
+  echo "soak: FAIL: the loader saw no DRAIN notice" >&2
+  exit 1
+fi
+
 # Graceful degradation, proven from the server's own counters: traffic
 # flowed, overload was refused (not dropped), the memory budget evicted,
 # garbage was counted and survived, and the drain ran exactly once.
+# rups_serve_drained_queries_total is only required to exist: at this
+# load the resolver is idle most of the time, so the admission queue is
+# usually empty at the instant the drain seals it and 0 is a correct
+# reading.
 "$out/rups-promcheck" \
   -present rups_serve_drained_queries_total,rups_serve_queue_depth,rups_serve_resident_bytes,rups_serve_slow_disconnects_total \
   "$out/soak-overload.prom" \
