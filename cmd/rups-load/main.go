@@ -1,10 +1,11 @@
 // Command rups-load replays a synthetic vehicle fleet against a running
-// rups-serve instance, on purpose badly: frames cross a fault-injected
-// link (loss, bursts, reordering, duplication, corruption), some clients
-// stall and never read, some send garbage, some vanish mid-run and
-// reconnect under a bumped epoch. The generator's job is to prove the
-// server refuses rather than OOMs, deadlocks, or panics — it counts
-// every outcome (results by status, refusals by reason, drains,
+// rups-serve instance, on purpose badly: some clients stall and never
+// read, some send garbage, some vanish mid-run and reconnect under a
+// bumped epoch. Each vehicle streams its new marks once per round over
+// TCP, which is reliable; link-level faults (loss, reordering,
+// corruption) are the simulated DSRC path's business. The generator's job
+// is to prove the server refuses rather than OOMs, deadlocks, or panics —
+// it counts every outcome (results by status, refusals by reason, drains,
 // disconnects) and prints the tally.
 //
 // With -require-progress the exit status becomes the assertion: the run
@@ -16,8 +17,7 @@
 //
 //	rups-load -addr 127.0.0.1:7077 [-vehicles 100] [-rounds 20]
 //	          [-marks 4] [-width 8] [-queries 1] [-deadline 0] [-pace 0]
-//	          [-seed 7] [-loss 0] [-burst 0] [-burst-exit 0.3] [-reorder 0]
-//	          [-dup 0] [-corrupt 0] [-malformed-every 0] [-stall-every 0]
+//	          [-seed 7] [-malformed-every 0] [-stall-every 0]
 //	          [-reset-every 0] [-concurrency 0] [-require-progress]
 package main
 
@@ -29,7 +29,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"rups/internal/link"
 	"rups/internal/serve"
 )
 
@@ -43,16 +42,9 @@ func main() {
 		queries  = flag.Int("queries", 1, "pair queries per vehicle per round")
 		deadline = flag.Float64("deadline", 0, "per-query relative deadline, seconds (0 = none)")
 		pace     = flag.Float64("pace", 0, "seconds between a vehicle's rounds (0 = flat out, the overload case)")
-		seed     = flag.Uint64("seed", 7, "run seed; trajectories, query targets, and fault rolls derive from it")
+		seed     = flag.Uint64("seed", 7, "run seed; trajectories, query targets, and garbage bytes derive from it")
 
-		loss      = flag.Float64("loss", 0, "i.i.d. frame drop probability")
-		burst     = flag.Float64("burst", 0, "Gilbert–Elliott burst-entry probability")
-		burstExit = flag.Float64("burst-exit", 0.3, "burst-exit probability")
-		reorder   = flag.Float64("reorder", 0, "frame reorder probability")
-		dup       = flag.Float64("dup", 0, "frame duplication probability")
-		corrupt   = flag.Float64("corrupt", 0, "frame bit-corruption probability")
-
-		malformedEvery = flag.Int("malformed-every", 0, "substitute garbage for every Nth sent message (0 = off)")
+		malformedEvery = flag.Int("malformed-every", 0, "send an extra garbage message after every Nth send (0 = off)")
 		stallEvery     = flag.Int("stall-every", 0, "every Nth vehicle stalls and never reads responses (0 = off)")
 		resetEvery     = flag.Int("reset-every", 0, "every Nth vehicle abruptly reconnects mid-run under a bumped epoch (0 = off)")
 		concurrency    = flag.Int("concurrency", 0, "simultaneously active vehicles (0 = min(vehicles, 64))")
@@ -82,15 +74,10 @@ func main() {
 		DeadlineRel:     *deadline,
 		PaceSec:         *pace,
 		Seed:            *seed,
-		Link: link.Params{
-			Seed: *seed, Loss: *loss,
-			BurstEnter: *burst, BurstExit: *burstExit,
-			Reorder: *reorder, Duplicate: *dup, Corrupt: *corrupt,
-		},
-		MalformedEvery: *malformedEvery,
-		StallEvery:     *stallEvery,
-		ResetEvery:     *resetEvery,
-		Concurrency:    *concurrency,
+		MalformedEvery:  *malformedEvery,
+		StallEvery:      *stallEvery,
+		ResetEvery:      *resetEvery,
+		Concurrency:     *concurrency,
 	})
 
 	fmt.Printf("connections     connected=%d conn_errors=%d server_disconnects=%d deliberate_resets=%d\n",

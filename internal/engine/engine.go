@@ -57,7 +57,7 @@ type Engine struct {
 	// pair's state does not accumulate forever.
 	tmu      sync.Mutex
 	trackers map[[2]int]*trackerEntry
-	// tgen counts ResolvePairsAt calls; each entry remembers the last
+	// tgen counts warm resolve calls; each entry remembers the last
 	// generation that used it.
 	tgen uint64
 	// classes remembers each pair's last staleness class (zero value =
@@ -130,7 +130,7 @@ func (e *Engine) dropTracker(pr [2]int, fl *flight.Ring, now float64) {
 
 // beginTrackerGen opens a new tracker generation and sweeps out entries
 // that no warm batch has touched for trackerIdleBatches generations. The
-// sweep is O(cached pairs) once per ResolvePairsAt call. Swept pairs also
+// sweep is O(cached pairs) once per warm resolve call. Swept pairs also
 // lose their staleness-class memory: if they return, their first
 // classification is a fresh transition again.
 func (e *Engine) beginTrackerGen(fl *flight.Ring, now float64) {
@@ -189,7 +189,7 @@ func (e *Engine) worker() {
 }
 
 // Close shuts the pool down and waits for in-flight tasks to finish. Close
-// is idempotent. Afterwards Admit/ResolveAll/Resolve return ErrClosed;
+// is idempotent. Afterwards Admit and ResolveAll return ErrClosed;
 // batches admitted before Close still resolve correctly, degraded to
 // inline (sequential) execution.
 func (e *Engine) Close() {
@@ -342,19 +342,6 @@ func (e *Engine) Admit(trajs ...*trajectory.Aware) (*Batch, error) {
 // Len reports how many trajectories the batch admitted.
 func (b *Batch) Len() int { return len(b.snaps) }
 
-// ResolveAll resolves every unordered pair (i < j) of the batch and
-// returns the results in pair-enumeration order. Identical to calling the
-// sequential core.Resolve on every pair of snapshots, bit for bit.
-func (b *Batch) ResolveAll(p core.Params) []Result {
-	pairs := make([][2]int, 0, len(b.snaps)*(len(b.snaps)-1)/2)
-	for i := 0; i < len(b.snaps); i++ {
-		for j := i + 1; j < len(b.snaps); j++ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return b.ResolvePairs(pairs, p)
-}
-
 // ResolvePairsAt resolves the given pairs under a staleness policy at sim
 // time now — the graceful-degradation entry point for lossy-link callers.
 // A pair's age is the older of its two contexts' ages (a resolution is
@@ -374,7 +361,7 @@ func (b *Batch) ResolveAll(p core.Params) []Result {
 // identical to the cold path's — with a zero-value (disabled) policy this
 // returns exactly what ResolvePairs would, just faster on repeat contact.
 func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol core.Staleness) []Result {
-	return b.resolveAt(pairs, nil, nil, p, now, pol)
+	return b.resolve(pairs, p, batchReq{warm: true, now: now, pol: pol})
 }
 
 // ResolvePairsDeadlineAt is ResolvePairsAt with per-pair deadlines —
@@ -388,10 +375,7 @@ func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol c
 // answers nobody is waiting for anymore never displace live ones.
 // Misaligned deadlines cannot be attributed and are ignored entirely.
 func (b *Batch) ResolvePairsDeadlineAt(pairs [][2]int, deadlines []float64, p core.Params, now float64, pol core.Staleness) []Result {
-	if deadlines != nil && len(deadlines) != len(pairs) {
-		deadlines = nil
-	}
-	return b.resolveAt(pairs, nil, deadlines, p, now, pol)
+	return b.resolve(pairs, p, batchReq{warm: true, now: now, pol: pol, dls: deadlines})
 }
 
 // ResolvePairsTracedAt is ResolvePairsAt with causal stitching: refs is
@@ -402,42 +386,77 @@ func (b *Batch) ResolvePairsDeadlineAt(pairs [][2]int, deadlines []float64, p co
 // the pair's whole story across both vehicles. Zero refs (and a nil
 // slice) resolve exactly like ResolvePairsAt.
 func (b *Batch) ResolvePairsTracedAt(pairs [][2]int, refs []obs.TraceRef, p core.Params, now float64, pol core.Staleness) []Result {
-	if refs != nil && len(refs) != len(pairs) {
-		refs = nil // misaligned refs cannot be attributed; resolve unstitched
-	}
-	return b.resolveAt(pairs, refs, nil, p, now, pol)
+	return b.resolve(pairs, p, batchReq{warm: true, now: now, pol: pol, refs: refs})
 }
 
-func (b *Batch) resolveAt(pairs [][2]int, refs []obs.TraceRef, dls []float64, p core.Params, now float64, pol core.Staleness) []Result {
+// ResolvePairs resolves the given pairs (indexes into the admitted slice)
+// and returns results in input order. Pairs with out-of-range indexes
+// yield OK == false rather than a panic. This is the cold-scan oracle: no
+// warm-start state is consulted or updated and no staleness policy
+// applies.
+func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
+	return b.resolve(pairs, p, batchReq{})
+}
+
+// batchReq is what distinguishes the resolve entry points. warm turns on
+// the engine's per-pair state: the tracker generation, warm-start
+// trackers, the staleness policy pol and the flight-event clock now. refs
+// and dls, when aligned with pairs, carry each pair's trace ref and start
+// deadline; misaligned slices cannot be attributed and are ignored.
+type batchReq struct {
+	warm bool
+	now  float64
+	pol  core.Staleness
+	refs []obs.TraceRef
+	dls  []float64
+}
+
+// resolve is the one resolve pipeline. A single pass over the pairs
+// bounds-checks each, sheds it if its deadline passed before admission,
+// attaches its warm-start tracker, classifies its staleness, and schedules
+// a task for every survivor; the tasks then fan out over the pool. Each
+// task writes only its own result slot, and each tracker is owned by one
+// task, so the fan-out needs no extra locking.
+func (b *Batch) resolve(pairs [][2]int, p core.Params, req batchReq) []Result {
 	tel := engineTel.Get()
+	rec := obs.ActiveRecorder()
 	fl := flight.Active()
-	b.e.nowBits.Store(math.Float64bits(now))
-	b.e.beginTrackerGen(fl, now)
-	keep := make([][2]int, 0, len(pairs))
-	kept := make([]int, 0, len(pairs))
-	tks := make([]*core.Tracker, 0, len(pairs))
-	var keepRefs []obs.TraceRef
-	if refs != nil {
-		keepRefs = make([]obs.TraceRef, 0, len(pairs))
+	now, pol := req.now, req.pol
+	if len(req.refs) != len(pairs) {
+		req.refs = nil
 	}
-	var keepDls []float64
-	if dls != nil {
-		keepDls = make([]float64, 0, len(pairs))
+	if len(req.dls) != len(pairs) {
+		req.dls = nil
 	}
-	out := make([]Result, len(pairs))
-	stale := make([]bool, len(pairs))
+	var start time.Time
+	if tel != nil {
+		tel.batches.Inc()
+		start = time.Now()
+	}
 	// Each tracker must be owned by exactly one concurrent pair task, but
 	// pairs is caller-controlled and may list the same pair twice — only
 	// the first occurrence gets the tracker; repeats resolve cold, which
 	// yields the identical result (the warm path is oracle-equivalent)
 	// without racing on the shared hint state.
-	seen := make(map[[2]int]bool, len(pairs))
+	var seen map[[2]int]bool
+	if req.warm {
+		b.e.nowBits.Store(math.Float64bits(now))
+		b.e.beginTrackerGen(fl, now)
+		seen = make(map[[2]int]bool, len(pairs))
+	}
+	clock := b.e.clockNow
+	out := make([]Result, len(pairs))
+	tasks := make([]func(), 0, len(pairs))
 	for pi, pr := range pairs {
 		out[pi] = Result{A: pr[0], B: pr[1]}
 		if pr[0] < 0 || pr[0] >= len(b.snaps) || pr[1] < 0 || pr[1] >= len(b.snaps) {
 			continue
 		}
-		if dls != nil && dls[pi] > 0 && now > dls[pi] {
+		var dl float64
+		if req.dls != nil {
+			dl = req.dls[pi]
+		}
+		if dl > 0 && now > dl {
 			// Dead on arrival: the caller's deadline passed before this
 			// batch was even admitted. Shed before classification or
 			// scheduling — no tracker touch, no staleness transition.
@@ -448,42 +467,18 @@ func (b *Batch) resolveAt(pairs [][2]int, refs []obs.TraceRef, dls []float64, p 
 			if fl != nil {
 				fl.Emit(flight.Event{T: now, Kind: flight.KindShed,
 					A: int32(pr[0]), B: int32(pr[1]),
-					V1: int64((now - dls[pi]) * 1000)})
+					V1: int64((now - dl) * 1000)})
 			}
 			continue
 		}
 		var tk *core.Tracker
-		if !seen[pr] {
+		if req.warm && !seen[pr] {
 			seen[pr] = true
 			tk = b.e.tracker(pr)
 		}
+		stale := false
 		if pol.Enabled() {
-			age := core.ContextAge(b.snaps[pr[0]], now)
-			if ab := core.ContextAge(b.snaps[pr[1]], now); ab > age {
-				age = ab
-			}
-			cls := pol.Classify(age)
-			if fl != nil {
-				if prev := b.e.noteClass(pr, cls); prev != cls {
-					fl.Emit(flight.Event{T: now, Kind: flight.KindStaleness,
-						A: int32(pr[0]), B: int32(pr[1]),
-						V1: int64(cls), V2: int64(prev)})
-					if cls == core.ExpiredContext {
-						// Crossing into expiry refuses the pair — one of the
-						// black-box anomaly triggers. Emit the expiry detail,
-						// then dump (best-effort; the capsule is advisory).
-						fl.Emit(flight.Event{T: now, Kind: flight.KindExpired,
-							A: int32(pr[0]), B: int32(pr[1]),
-							V1: int64(age * 1000)})
-						//lint:ignore errflow best-effort black-box dump; resolution must not fail because the disk did
-						_, _ = fl.Anomaly("refused_pair", flight.Event{T: now,
-							Kind: flight.KindRefused,
-							A:    int32(pr[0]), B: int32(pr[1]),
-							V1: int64(age * 1000)})
-					}
-				}
-			}
-			switch cls {
+			switch b.classify(pr, pol, now, fl) {
 			case core.ExpiredContext:
 				if tel != nil {
 					tel.pairsExpired.Inc()
@@ -496,129 +491,49 @@ func (b *Batch) resolveAt(pairs [][2]int, refs []obs.TraceRef, dls []float64, p 
 				if tel != nil {
 					tel.pairsStale.Inc()
 				}
-				stale[pi] = true
+				stale = true
 			}
 		}
-		keep = append(keep, pr)
-		kept = append(kept, pi)
-		tks = append(tks, tk)
-		if keepRefs != nil {
-			keepRefs = append(keepRefs, refs[pi])
-		}
-		if keepDls != nil {
-			keepDls = append(keepDls, dls[pi])
-		}
-	}
-	for i, r := range b.resolvePairs(keep, p, tks, keepRefs, keepDls, now) {
-		pi := kept[i]
-		if !r.Shed {
-			r.Stale = stale[pi]
-		}
-		out[pi] = r
-	}
-	return out
-}
-
-// ResolvePairs resolves the given pairs (indexes into the admitted slice)
-// and returns results in input order. Pairs with out-of-range indexes
-// yield OK == false rather than a panic. This is the cold-scan entry
-// point — no warm-start state is consulted or updated.
-func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
-	return b.resolvePairs(pairs, p, nil, nil, nil, 0)
-}
-
-// resolvePairs fans the pair queries over the pool. tks, when non-nil, is
-// aligned with pairs and attaches each pair's warm-start tracker to its
-// searcher; each tracker is touched only by its own pair's task, so the
-// fan-out needs no extra locking. refs, when non-nil, is aligned with
-// pairs and stitches each pair's spans into its cross-vehicle trace; dls,
-// when non-nil, is aligned with pairs and carries each pair's start
-// deadline for the task-start recheck (see ResolvePairsDeadlineAt); now
-// timestamps flight events from the fan-out.
-func (b *Batch) resolvePairs(pairs [][2]int, p core.Params, tks []*core.Tracker, refs []obs.TraceRef, dls []float64, now float64) []Result {
-	tel := engineTel.Get()
-	rec := obs.ActiveRecorder()
-	fl := flight.Active()
-	var start time.Time
-	if tel != nil {
-		tel.batches.Inc()
-		start = time.Now()
-	}
-	out := make([]Result, len(pairs))
-	tasks := make([]func(), 0, len(pairs))
-	// shedNow implements the task-start deadline recheck: queued work whose
-	// deadline passed while it waited is dropped unrun. Only the slot owner
-	// calls it, so writing out[pi] is race-free.
-	clock := b.e.clockNow
-	shedNow := func(pi int, pr [2]int) bool {
-		if dls == nil || dls[pi] <= 0 || clock == nil {
-			return false
-		}
-		late := clock() - dls[pi]
-		if late <= 0 {
-			return false
-		}
-		out[pi].Shed = true
-		if tel != nil {
-			tel.pairsShed.Inc()
-		}
-		if fl != nil {
-			fl.Emit(flight.Event{T: now, Kind: flight.KindShed,
-				A: int32(pr[0]), B: int32(pr[1]),
-				V1: int64(late * 1000), V2: 1})
-		}
-		return true
-	}
-	for pi, pr := range pairs {
-		pi, pr := pi, pr
-		out[pi] = Result{A: pr[0], B: pr[1]}
-		if pr[0] < 0 || pr[0] >= len(b.snaps) || pr[1] < 0 || pr[1] >= len(b.snaps) {
-			continue
-		}
 		var ref obs.TraceRef
-		if refs != nil {
-			ref = refs[pi]
-		}
-		if ref.Trace == 0 && tel == nil {
-			// Disabled-telemetry, unstitched fast path: byte-for-byte the
-			// allocation profile of the uninstrumented fan-out — no clock
-			// reads, no span values in the closure. (The deadline recheck
-			// only reads a clock when the caller both passed deadlines and
-			// installed one.)
-			tasks = append(tasks, func() {
-				if shedNow(pi, pr) {
-					return
-				}
-				s := core.NewSearcher(b.snaps[pr[0]], b.snaps[pr[1]], p)
-				if tks != nil && tks[pi] != nil {
-					s.SetTracker(tks[pi])
-				}
-				if fl != nil {
-					s.SetFlight(fl, pr[0], pr[1], now)
-				}
-				out[pi].Est, out[pi].OK = s.Resolve(b.e.run)
-				s.Release()
-			})
-			continue
+		if req.refs != nil {
+			ref = req.refs[pi]
 		}
 		// The queue span opens at scheduling and closes when a worker (or
 		// the inline fallback) picks the task up: its duration is the
 		// pair's queue wait, the critical-path component no per-stage span
-		// could otherwise see. Inert when the pair is unstitched.
+		// could otherwise see. Inert when the pair is unstitched; the task
+		// reads the clock only when telemetry is on or the pair is traced.
 		var qsp obs.Span
 		if ref.Trace != 0 {
 			qsp = rec.StartChild(ref.Trace, ref.Parent, "queue")
 			qsp.Arg = int64(pr[0])<<32 | int64(pr[1])
 		}
+		timed := tel != nil || ref.Trace != 0
 		tasks = append(tasks, func() {
 			qsp.End()
-			if shedNow(pi, pr) {
-				return
+			// Task-start deadline recheck: queued work whose deadline
+			// passed while it waited is dropped unrun.
+			if dl > 0 && clock != nil {
+				if late := clock() - dl; late > 0 {
+					out[pi].Shed = true
+					if tel != nil {
+						tel.pairsShed.Inc()
+					}
+					if fl != nil {
+						fl.Emit(flight.Event{T: now, Kind: flight.KindShed,
+							A: int32(pr[0]), B: int32(pr[1]),
+							V1: int64(late * 1000), V2: 1})
+					}
+					return
+				}
 			}
-			t0 := time.Now()
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
+			}
 			s := core.NewSearcher(b.snaps[pr[0]], b.snaps[pr[1]], p)
-			if tks != nil && tks[pi] != nil {
-				s.SetTracker(tks[pi])
+			if tk != nil {
+				s.SetTracker(tk)
 			}
 			s.SetTrace(ref)
 			if fl != nil {
@@ -626,10 +541,13 @@ func (b *Batch) resolvePairs(pairs [][2]int, p core.Params, tks []*core.Tracker,
 			}
 			out[pi].Est, out[pi].OK = s.Resolve(b.e.run)
 			s.Release()
-			lat := time.Since(t0).Seconds()
-			out[pi].LatencySec = lat
-			if tel != nil {
-				tel.pairSec.Observe(lat)
+			out[pi].Stale = stale
+			if timed {
+				lat := time.Since(t0).Seconds()
+				out[pi].LatencySec = lat
+				if tel != nil {
+					tel.pairSec.Observe(lat)
+				}
 			}
 		})
 	}
@@ -640,13 +558,53 @@ func (b *Batch) resolvePairs(pairs [][2]int, p core.Params, tks []*core.Tracker,
 	return out
 }
 
-// ResolveAll admits the platoon and resolves every unordered pair — the
-// one-call form for callers already at a quiescent point. Returns ErrClosed
-// after Close.
+// classify returns a pair's staleness class under pol at now. A pair's
+// age is the older of its two contexts' ages. Class transitions are
+// flight events, and crossing into expiry also dumps a refused-pair
+// anomaly capsule.
+func (b *Batch) classify(pr [2]int, pol core.Staleness, now float64, fl *flight.Ring) core.Freshness {
+	age := core.ContextAge(b.snaps[pr[0]], now)
+	if ab := core.ContextAge(b.snaps[pr[1]], now); ab > age {
+		age = ab
+	}
+	cls := pol.Classify(age)
+	if fl == nil {
+		return cls
+	}
+	if prev := b.e.noteClass(pr, cls); prev != cls {
+		fl.Emit(flight.Event{T: now, Kind: flight.KindStaleness,
+			A: int32(pr[0]), B: int32(pr[1]),
+			V1: int64(cls), V2: int64(prev)})
+		if cls == core.ExpiredContext {
+			// Crossing into expiry refuses the pair — one of the black-box
+			// anomaly triggers. Emit the expiry detail, then dump
+			// (best-effort; the capsule is advisory).
+			fl.Emit(flight.Event{T: now, Kind: flight.KindExpired,
+				A: int32(pr[0]), B: int32(pr[1]),
+				V1: int64(age * 1000)})
+			//lint:ignore errflow best-effort black-box dump; resolution must not fail because the disk did
+			_, _ = fl.Anomaly("refused_pair", flight.Event{T: now,
+				Kind: flight.KindRefused,
+				A:    int32(pr[0]), B: int32(pr[1]),
+				V1: int64(age * 1000)})
+		}
+	}
+	return cls
+}
+
+// ResolveAll admits the platoon and resolves every unordered pair (i < j)
+// in pair-enumeration order through the cold oracle — the one-call form
+// for callers already at a quiescent point. Returns ErrClosed after Close.
 func (e *Engine) ResolveAll(trajs []*trajectory.Aware, p core.Params) ([]Result, error) {
 	b, err := e.Admit(trajs...)
 	if err != nil {
 		return nil, err
 	}
-	return b.ResolveAll(p), nil
+	pairs := make([][2]int, 0, len(trajs)*(len(trajs)-1)/2)
+	for i := range trajs {
+		for j := i + 1; j < len(trajs); j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
+	return b.ResolvePairs(pairs, p), nil
 }

@@ -151,7 +151,7 @@ func TestEngineConcurrentAppend(t *testing.T) {
 		}(trajs[vi])
 	}
 	for round := 0; round < 3; round++ {
-		res := batch.ResolveAll(p)
+		res := batch.ResolvePairs([][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, p)
 		if len(res) != 6 {
 			t.Fatalf("round %d: %d results, want 6", round, len(res))
 		}
@@ -254,7 +254,7 @@ func TestEngineAdmitAfterClose(t *testing.T) {
 		t.Fatalf("single-pair Admit after Close: err = %v, want ErrClosed", err)
 	}
 
-	res := batch.ResolveAll(p)
+	res := batch.ResolvePairs([][2]int{{0, 1}}, p)
 	if len(res) != 1 {
 		t.Fatalf("pre-Close batch resolved %d pairs, want 1", len(res))
 	}

@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rups/internal/core"
-	"rups/internal/link"
 	"rups/internal/obs"
 )
 
@@ -137,10 +139,17 @@ func TestShutdownFlushesAdmittedQueries(t *testing.T) {
 	}
 	flushedBefore := stel().drainedQueries.Value()
 
-	// Drain: the resolver starts, finds the backlog, answers it, exits.
-	go s.resolveLoop()
+	// Drain: once the queue is sealed, the resolver starts, finds the
+	// backlog, answers it, exits. Starting it only after the seal keeps
+	// it from answering the backlog before the drain begins.
 	go s.sweepLoop()
-	stats := s.Shutdown()
+	done := make(chan DrainStats, 1)
+	go func() { done <- s.Shutdown() }()
+	for !s.isDraining() {
+		runtime.Gosched()
+	}
+	go s.resolveLoop()
+	stats := <-done
 
 	got := map[uint32]bool{}
 	sawDrain := false
@@ -167,13 +176,86 @@ func TestShutdownFlushesAdmittedQueries(t *testing.T) {
 	}
 }
 
+// TestDrainCountsBatchInFlightAtSeal: the batch the resolver is already
+// working on when Shutdown seals the queue is answered during the drain
+// and must count as drained. Holding the vehicle table's lock parks the
+// resolver inside resolveBatch (its snapshot lookup needs the lock), so
+// the batch is provably in flight, not queued, when the seal happens.
+func TestDrainCountsBatchInFlightAtSeal(t *testing.T) {
+	obs.Enable(obs.NewRegistry())
+	defer obs.Disable()
+
+	sim := NewSimClock(1250)
+	s := New(Config{Clock: sim, Workers: 1, Params: testParams(), QueueCap: 8})
+	srvNC, cliNC := net.Pipe()
+	c := &conn{s: s, nc: srvNC, outbox: make(chan []byte, 8)}
+	s.conns[c] = struct{}{}
+	s.connWG.Add(1)
+	go c.writeLoop()
+	peer := NewClient(cliNC)
+	results := make(chan uint32, 8)
+	go func() {
+		defer close(results)
+		for {
+			m, err := peer.ReadMsg()
+			if err != nil {
+				return
+			}
+			if m.Kind == MsgResult {
+				results <- m.QID
+			}
+		}
+	}()
+
+	flushedBefore := stel().drainedQueries.Value()
+	s.tab.mu.Lock()
+	s.admitQuery(&query{qid: 1, a: 900, b: 901, admitted: sim.Now(), c: c})
+	go s.resolveLoop()
+	go s.sweepLoop()
+	waitForStack(t, "serve.(*vtable).get")
+
+	done := make(chan DrainStats, 1)
+	go func() { done <- s.Shutdown() }()
+	for !s.isDraining() {
+		runtime.Gosched()
+	}
+	s.tab.mu.Unlock()
+	stats := <-done
+
+	var got []uint32
+	for qid := range results {
+		got = append(got, qid)
+	}
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("results %v, want exactly qid 1", got)
+	}
+	if stats.Flushed != flushedBefore+1 {
+		t.Fatalf("drain stats flushed %d, want %d: the in-flight batch was not counted",
+			stats.Flushed, flushedBefore+1)
+	}
+}
+
+// waitForStack blocks until some goroutine's stack contains fn — how a test
+// knows a goroutine has reached a lock it is meant to block on.
+func waitForStack(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn) {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no goroutine reached %s", fn)
+}
+
 // TestLoadGeneratorAgainstFaults runs a miniature soak in-process: a
-// fleet streaming through a lossy, bursty, corrupting link, with stalled
-// clients, malformed injection, and mid-run epoch resets, against a
-// server with tight bounds. The assertions are the robustness contract:
-// the server answers what it can, refuses what it cannot, kicks what
-// misbehaves, and shuts down cleanly afterwards. Run under -race this is
-// the package's main concurrency check.
+// streaming fleet with stalled clients, malformed injection, and mid-run
+// epoch resets, against a server with tight bounds. The assertions are
+// the robustness contract: the server answers what it can, refuses what
+// it cannot, kicks what misbehaves, and shuts down cleanly afterwards.
+// Run under -race this is the package's main concurrency check.
 func TestLoadGeneratorAgainstFaults(t *testing.T) {
 	obs.Enable(obs.NewRegistry())
 	defer obs.Disable()
@@ -204,13 +286,9 @@ func TestLoadGeneratorAgainstFaults(t *testing.T) {
 		Width:           8,
 		QueriesPerRound: 2,
 		Seed:            7,
-		Link: link.Params{
-			Seed: 7, Loss: 0.1, BurstEnter: 0.02, BurstExit: 0.3,
-			Reorder: 0.1, Duplicate: 0.05, Corrupt: 0.05,
-		},
-		MalformedEvery: 9,
-		StallEvery:     10,
-		ResetEvery:     7,
+		MalformedEvery:  9,
+		StallEvery:      10,
+		ResetEvery:      7,
 	})
 	s.Shutdown()
 

@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rups/internal/link"
 	"rups/internal/noise"
-	"rups/internal/obs"
 	"rups/internal/trajectory"
 	"rups/internal/v2v"
 )
@@ -18,7 +16,9 @@ import (
 // connection streaming a deterministic convoy trajectory and issuing pair
 // queries; the fault knobs push the server into its refusal paths on
 // purpose — the generator's job is to prove the server refuses rather
-// than OOMs, deadlocks, or panics.
+// than OOMs, deadlocks, or panics. TCP is the reliable transport, so each
+// round's new marks are sent exactly once; link-level faults (loss,
+// reordering, corruption) belong to the simulated DSRC path instead.
 type LoadConfig struct {
 	// Addr is the server address.
 	Addr string
@@ -36,15 +36,11 @@ type LoadConfig struct {
 	// DeadlineRel is the per-query relative deadline in seconds; 0 sends
 	// undeadlined queries.
 	DeadlineRel float64
-	// Seed makes the whole run — trajectories, query targets, fault
-	// rolls — replayable.
+	// Seed makes the whole run — trajectories, query targets, garbage
+	// bytes — replayable.
 	Seed uint64
-	// Link is the fault model applied to every outbound DATA frame (loss,
-	// bursts, reordering, duplication, corruption). The zero value is a
-	// clean channel.
-	Link link.Params
-	// MalformedEvery injects one garbage message per N sent messages per
-	// vehicle (0 = off).
+	// MalformedEvery inserts one extra garbage message after every N sends
+	// (a round's delta or a query) per vehicle (0 = off).
 	MalformedEvery int
 	// StallEvery makes every Nth vehicle a stalled client that never
 	// reads server responses, exercising the slow-reader disconnect
@@ -135,7 +131,7 @@ func (c *loadCounters) snapshot() LoadStats {
 // until every vehicle finishes its rounds, the server drains, or ctx is
 // cancelled. The run is deterministic per Seed up to network and
 // scheduling timing; all stochastic choices (trajectory shape, query
-// targets, fault rolls) derive from it.
+// targets, garbage bytes) derive from it.
 func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 	cfg = cfg.withDefaults()
 	var ctr loadCounters
@@ -211,10 +207,6 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 		return false, 0
 	}
 
-	// acked tracks the server's cumulative ack under this epoch; the
-	// sender retransmits everything above it each round (a crude but
-	// sufficient go-back-all).
-	var acked atomic.Int64
 	// responded counts RESULT/REFUSE messages seen; the session waits at
 	// the end until it matches the queries that actually reached the wire,
 	// so outcomes are counted before the connection closes.
@@ -238,9 +230,6 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 				switch m.Kind {
 				case MsgAck:
 					ctr.acksSeen.Add(1)
-					if m.AckEpoch == epoch {
-						acked.Store(int64(m.AckCum))
-					}
 				case MsgResult:
 					switch m.Status {
 					case StatusOK:
@@ -283,18 +272,12 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 		}()
 	}
 
-	// Epoch restarts resync from mark 0: everything resident at the
-	// server belongs to the dead incarnation.
-	if epoch > 1 {
-		acked.Store(0)
-	} else {
-		acked.Store(int64(traj.Len()))
-	}
-
-	ch := link.New(cfg.Link, uint64(vid))
-	msgN, qid := 0, uint32(0)
-	// expected counts queries that actually reached the wire — the server
-	// owes each exactly one RESULT or REFUSE (or a disconnect).
+	// streamed is how many marks reached the wire under this epoch. A
+	// reconnect bumps the epoch, so the server discards the dead
+	// incarnation and the stream restarts from mark 0.
+	streamed, msgN, qid := 0, 0, uint32(0)
+	// expected counts queries that reached the wire — the server owes
+	// each exactly one RESULT or REFUSE (or a disconnect).
 	expected := int64(0)
 	var tick <-chan struct{}
 	stopTick := func() {}
@@ -303,28 +286,24 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 	}
 	defer stopTick()
 
-	// sendRaw writes b, occasionally substituting garbage when malformed
-	// injection is on. Returns (delivered, connAlive): delivered reports
-	// whether b itself went out (false when a garbage message took its
-	// slot), which the query path uses to know a response is owed.
-	sendRaw := func(b []byte) (bool, bool) {
-		msgN++
-		if cfg.MalformedEvery > 0 && msgN%cfg.MalformedEvery == 0 {
-			g := make([]byte, 16)
-			binary.LittleEndian.PutUint64(g, noise.Hash(cfg.Seed, uint64(vid), uint64(msgN)))
-			binary.LittleEndian.PutUint64(g[8:], noise.Hash(cfg.Seed, uint64(msgN), uint64(vid)))
-			ctr.malformedSent.Add(1)
-			if cl.SendRaw(g) != nil {
-				ctr.disconnect.Add(1)
-				return false, false
+	// sent takes one send's error and, with malformed injection on,
+	// follows every Nth send with an extra garbage message. Returns false
+	// once the connection is dead.
+	sent := func(err error) bool {
+		if err == nil && cfg.MalformedEvery > 0 {
+			if msgN++; msgN%cfg.MalformedEvery == 0 {
+				g := make([]byte, 16)
+				binary.LittleEndian.PutUint64(g, noise.Hash(cfg.Seed, uint64(vid), uint64(msgN)))
+				binary.LittleEndian.PutUint64(g[8:], noise.Hash(cfg.Seed, uint64(msgN), uint64(vid)))
+				ctr.malformedSent.Add(1)
+				err = cl.SendRaw(g)
 			}
-			return false, true
 		}
-		if cl.SendRaw(b) != nil {
+		if err != nil {
 			ctr.disconnect.Add(1)
-			return false, false
+			return false
 		}
-		return true, true
+		return true
 	}
 
 	for round := startRound; round < cfg.Rounds; round++ {
@@ -354,21 +333,11 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 			mark, row := convoyMark(cfg, vid, traj.Len(), now)
 			traj.Append(mark, row)
 		}
-		// Stream the unacked suffix through the faulty link; deliverable
-		// frames (delayed, reordered, possibly corrupted) go to the wire.
-		from := int(acked.Load())
-		if from < traj.Len() {
-			if d, err := v2v.MakeDelta(traj, from); err == nil {
-				for _, fr := range v2v.DataFrames(d, obs.TraceRef{}, epoch) {
-					//lint:ignore errflow oversize frames cannot happen below the MTU
-					_ = ch.Send(round, fr)
-				}
-			}
-		}
-		for _, fr := range ch.Receive(round) {
-			if _, ok := sendRaw(fr); !ok {
+		if d, err := v2v.MakeDelta(traj, streamed); err == nil {
+			if !sent(cl.SendDelta(d, epoch)) {
 				return false, 0
 			}
+			streamed = traj.Len()
 		}
 		for q := 0; q < cfg.QueriesPerRound; q++ {
 			peer := uint32(noise.Hash(cfg.Seed, uint64(vid), uint64(round), uint64(q))%uint64(cfg.Vehicles)) + 1
@@ -377,26 +346,15 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 			}
 			qid++
 			ctr.queriesSent.Add(1)
-			delivered, ok := sendRaw(queryFrame(qid, vid, peer, cfg.DeadlineRel))
-			if !ok {
+			if !sent(cl.Query(qid, vid, peer, cfg.DeadlineRel)) {
 				return false, 0
 			}
-			if delivered {
-				expected++
-			}
+			expected++
 		}
 		if resetAt >= 0 && round >= resetAt {
 			// Abrupt restart: no goodbye, a fresh connection, a bumped
 			// epoch. The server must discard the dead incarnation.
 			return true, round + 1
-		}
-	}
-	// Drain link-delayed frames so the final marks usually land.
-	for r := cfg.Rounds; r < cfg.Rounds+4; r++ {
-		for _, fr := range ch.Receive(r) {
-			if _, ok := sendRaw(fr); !ok {
-				return false, 0
-			}
 		}
 	}
 	// Wait for every owed response before closing, else the outcomes of

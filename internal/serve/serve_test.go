@@ -457,3 +457,120 @@ func TestMalformedInputsDoNotKillTheServer(t *testing.T) {
 	}
 	cl2.Close()
 }
+
+// TestServerFrameFaults: the server's receiver heals what a faulty
+// transport could do to one vehicle's DATA frames over a single TCP
+// connection — frames out of order, a duplicate, a CRC-corrupted frame
+// followed by its clean copy. Only the corrupted frame counts as
+// malformed (a duplicate is an intact frame), the connection survives,
+// and the pair resolves to exactly what the in-order stream resolves to.
+func TestServerFrameFaults(t *testing.T) {
+	obs.Enable(obs.NewRegistry())
+	defer obs.Disable()
+
+	trajs := testConvoy(17, 2, 200, 20, 32)
+	sim := NewSimClock(1250)
+	s := New(Config{Addr: "127.0.0.1:0", Clock: sim, Params: testParams()})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	tel := stel()
+
+	dial := func() *Client {
+		cl, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	// Vehicle 3 carries vehicle 1's trajectory in order: the reference.
+	streamVehicle(t, dial(), 2, 1, trajs[1])
+	streamVehicle(t, dial(), 3, 1, trajs[0])
+
+	d, err := v2v.MakeDelta(trajs[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for _, c := range v2v.ChunkDelta(d) {
+		frames = append(frames, v2v.DataFrames(c, obs.TraceRef{}, 1)...)
+	}
+	if len(frames) < 4 {
+		t.Fatalf("only %d frames; the test needs several chunks", len(frames))
+	}
+	held := len(frames) / 2
+
+	cl := dial()
+	if err := cl.Hello(1, 1, trajs[0].Width()); err != nil {
+		t.Fatal(err)
+	}
+	send := func(fr []byte) {
+		t.Helper()
+		if err := cl.SendRaw(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The connection's reader handles messages in order, so an answered
+	// query proves everything sent before it was processed and counted.
+	qid := uint32(0)
+	malformedSince := func(before uint64) uint64 {
+		t.Helper()
+		qid++
+		if err := cl.Query(qid, 1, 99, 0); err != nil {
+			t.Fatal(err)
+		}
+		if m := readResult(t, cl); m.QID != qid || m.Status != StatusUnknownVehicle {
+			t.Fatalf("got %+v, want unknown-vehicle answer for qid %d", m, qid)
+		}
+		return tel.malformed.Value() - before
+	}
+
+	before := tel.malformed.Value()
+	for i := len(frames) - 1; i >= 0; i-- { // reversed, one frame withheld
+		if i != held {
+			send(frames[i])
+		}
+	}
+	send(frames[0]) // duplicate
+	if n := malformedSince(before); n != 0 {
+		t.Fatalf("reordered and duplicated frames counted %d malformed, want 0", n)
+	}
+
+	corrupt := append([]byte(nil), frames[held]...)
+	corrupt[len(corrupt)/2] ^= 0xFF
+	send(corrupt)
+	if n := malformedSince(before); n != 1 {
+		t.Fatalf("corrupted frame counted %d malformed, want 1", n)
+	}
+
+	send(frames[held]) // the clean copy completes the stream
+	for {
+		m, err := cl.ReadMsg()
+		if err != nil {
+			t.Fatalf("connection died: %v", err)
+		}
+		if m.Kind == MsgAck && m.AckCum >= trajs[0].Len() {
+			break
+		}
+	}
+	if n := tel.malformed.Value() - before; n != 1 {
+		t.Fatalf("malformed counter moved by %d, want 1", n)
+	}
+
+	if err := cl.Query(100, 1, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := readResult(t, cl)
+	if err := cl.Query(101, 3, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := readResult(t, cl)
+	if got.Status != StatusOK || want.Status != StatusOK {
+		t.Fatalf("statuses %d/%d, want both OK", got.Status, want.Status)
+	}
+	if got.Distance != want.Distance || got.Stale != want.Stale {
+		t.Fatalf("faulty stream answered %+v, in-order stream %+v", got, want)
+	}
+}

@@ -335,9 +335,6 @@ func (s *Server) isDraining() bool {
 func (s *Server) resolveBatch(batch []*query) {
 	tel := stel()
 	now := s.clock.Now()
-	if s.isDraining() {
-		tel.drainedQueries.Add(uint64(len(batch)))
-	}
 	var snaps []*trajectory.Aware
 	snapIdx := make(map[uint32]int)
 	snapshotOf := func(id uint32) int {
@@ -383,7 +380,7 @@ func (s *Server) resolveBatch(batch []*query) {
 		q := live[i]
 		switch {
 		case r.Shed:
-			stel().shed.Inc()
+			tel.shed.Inc()
 			s.finish(q, StatusShed, false, 0)
 		case !r.OK:
 			s.finish(q, StatusUnresolved, r.Stale, 0)
@@ -405,6 +402,12 @@ func (s *Server) finish(q *query, status byte, stale bool, dist float64) {
 	q.c.outstanding.Add(-1)
 	q.c.send(resultFrame(q.qid, status, stale, dist, lat))
 	tel.results.Inc()
+	if s.isDraining() {
+		// Admission refuses everything once the drain seals the queue, so
+		// an answer given while draining is for a query admitted before
+		// the seal — including the batch that was in flight at the seal.
+		tel.drainedQueries.Inc()
+	}
 	tel.resolveSec.Observe(lat)
 	if t := s.cfg.SLO; t != nil {
 		if s.sloLat >= 0 {

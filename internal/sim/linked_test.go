@@ -9,6 +9,7 @@ import (
 	"rups/internal/core"
 	"rups/internal/engine"
 	"rups/internal/link"
+	"rups/internal/obs"
 	"rups/internal/v2v"
 )
 
@@ -161,6 +162,71 @@ func TestLinkedOutageDegradesGracefully(t *testing.T) {
 	for _, pr := range res {
 		if pr.OK {
 			t.Errorf("pair (%d,%d) resolved from an empty link-delivered copy", pr.A, pr.B)
+		}
+	}
+}
+
+// TestLinkedResolveStitchesSessionTraces pins the engine side of causal
+// stitching: on a clean, settled 3-vehicle mesh with a span recorder on,
+// each pair's queue span hangs under its sync session's TraceRef (same
+// trace, same parent), and the pair's resolve span lands on that trace.
+func TestLinkedResolveStitchesSessionTraces(t *testing.T) {
+	rec := obs.NewRecorder(1 << 16)
+	obs.SetRecorder(rec)
+	defer obs.SetRecorder(nil)
+
+	r := getConvoy(t)
+	t0, t1 := r.TimeSpan()
+	tq := t0 + 0.8*(t1-t0)
+	lc := NewLinkedConvoy(r, link.Params{Seed: 1}, v2v.SyncConfig{}, core.Staleness{})
+	for ts := t0 + 0.5; ts < tq; ts += 0.5 {
+		lc.Advance(ts)
+	}
+	lc.Advance(tq)
+	settle(t, lc, tq)
+
+	refs := make([]obs.TraceRef, len(lc.links))
+	for k, pl := range lc.links {
+		refs[k] = pl.sess.TraceRef()
+		if refs[k].Trace == 0 || refs[k].Parent == 0 {
+			t.Fatalf("link %d: session carries no trace ref (%+v)", k, refs[k])
+		}
+	}
+	seq := rec.Total()
+
+	e := engine.New(0)
+	defer e.Close()
+	if _, err := lc.ResolveAllAt(e, tq, core.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Pair k is admitted as batch slots (2k, 2k+1); the queue span's Arg
+	// packs that slot pair.
+	queues := map[int64]obs.SpanEvent{}
+	resolves := map[obs.TraceID]int{}
+	for _, ev := range rec.Events() {
+		if ev.Seq < seq {
+			continue
+		}
+		switch ev.Name {
+		case "queue":
+			queues[ev.Arg] = ev
+		case "resolve":
+			resolves[ev.Trace]++
+		}
+	}
+	for k, ref := range refs {
+		arg := int64(2*k)<<32 | int64(2*k+1)
+		q, ok := queues[arg]
+		if !ok {
+			t.Fatalf("pair %d: no queue span recorded", k)
+		}
+		if q.Trace != ref.Trace || q.Parent != ref.Parent {
+			t.Errorf("pair %d: queue span on trace %d parent %d, want session ref %+v",
+				k, q.Trace, q.Parent, ref)
+		}
+		if resolves[ref.Trace] != 1 {
+			t.Errorf("pair %d: %d resolve spans on trace %d, want 1", k, resolves[ref.Trace], ref.Trace)
 		}
 	}
 }

@@ -155,13 +155,14 @@ func decodeChunk(b []byte) (Delta, error) {
 	return d, nil
 }
 
-// dataFrames encodes the chunk and fragments it into WSM-bounded DATA
-// frames. A nonzero ref.Trace stamps every fragment with the 16-byte
-// causal-trace extension, and a nonzero epoch with the 4-byte restart
-// epoch (the per-fragment payload budget shrinks to keep the frames
-// inside the WSM bound); zero ref and epoch emit the exact untraced
-// PR-5 wire format.
-func dataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
+// DataFrames encodes the chunk and fragments it into WSM-bounded,
+// CRC-framed DATA frames — the codec both the simulated link and the TCP
+// resolution service carry. A nonzero ref.Trace stamps every fragment
+// with the 16-byte causal-trace extension, and a nonzero epoch with the
+// 4-byte restart epoch (the per-fragment payload budget shrinks to keep
+// the frames inside the WSM bound); zero ref and epoch emit the original
+// extension-free wire format.
+func DataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
 	blob := encodeChunk(d)
 	budget := maxFragPayload
 	var flags byte
@@ -207,16 +208,9 @@ func dataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
 	return out
 }
 
-// DataFrames encodes one chunk into WSM-bounded, CRC-framed DATA frames —
-// the exported codec surface for transports beyond the simulated link
-// (the TCP resolution service streams these same bytes). See dataFrames.
-func DataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
-	return dataFrames(d, ref, epoch)
-}
-
-// ackFrameBytes encodes a cumulative-ack beacon. A nonzero epoch appends
-// the restart-epoch extension; epoch 0 is the legacy 12-byte beacon.
-func ackFrameBytes(cum int, epoch uint32) []byte {
+// AckFrame encodes a cumulative-ack beacon. A nonzero epoch appends the
+// restart-epoch extension; epoch 0 is the legacy 12-byte beacon.
+func AckFrame(cum int, epoch uint32) []byte {
 	fr := make([]byte, 0, ackFrameLen+epochExtLen)
 	fr = binary.LittleEndian.AppendUint16(fr, frameMagic)
 	if epoch != 0 {
@@ -230,10 +224,6 @@ func ackFrameBytes(cum int, epoch uint32) []byte {
 	}
 	return binary.LittleEndian.AppendUint32(fr, crc32.ChecksumIEEE(fr))
 }
-
-// AckFrame encodes a cumulative-ack beacon for the given epoch — the
-// exported counterpart of DataFrames for external transports.
-func AckFrame(cum int, epoch uint32) []byte { return ackFrameBytes(cum, epoch) }
 
 // ParseAck decodes an ACK frame, reporting the receiver's cumulative
 // contiguous mark count and the epoch it was acked under (0 for legacy

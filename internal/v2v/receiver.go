@@ -95,7 +95,7 @@ func (r *Receiver) TakeAckDue() bool {
 // contiguous mark count, stamped with the epoch it was reconstructed
 // under so a restarted sender can discard pre-restart beacons.
 func (r *Receiver) AckBytes() []byte {
-	return ackFrameBytes(r.copy.Len(), r.epoch)
+	return AckFrame(r.copy.Len(), r.epoch)
 }
 
 // Offer consumes one raw frame. Malformed, corrupt, duplicate, and non-DATA

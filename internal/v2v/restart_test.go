@@ -90,8 +90,8 @@ func TestReceiverDropsDeadEpochStragglers(t *testing.T) {
 	for ch := range d.Power {
 		d.Power[ch] = src.RowCopy(ch, 0, 8)
 	}
-	oldFrames := dataFrames(d, obs.TraceRef{}, 1)
-	newFrames := dataFrames(d, obs.TraceRef{}, 2)
+	oldFrames := DataFrames(d, obs.TraceRef{}, 1)
+	newFrames := DataFrames(d, obs.TraceRef{}, 2)
 
 	rx := NewReceiver(src.Width())
 	for _, f := range newFrames {
@@ -135,7 +135,7 @@ func TestAckEpochFiltering(t *testing.T) {
 	s := NewSession(src, data, ack, SyncConfig{Epoch: 7})
 	// A pre-restart beacon claiming the peer holds everything: must be
 	// ignored, and the session must still deliver all 40 marks.
-	if err := ack.Send(0, ackFrameBytes(40, 3)); err != nil {
+	if err := ack.Send(0, AckFrame(40, 3)); err != nil {
 		t.Fatal(err)
 	}
 	runSync(s, 1e9, 5000)

@@ -328,7 +328,7 @@ func (s *Session) fillWindow(round int, now float64) {
 		// Each transmission gets its own span on the session's trace; its
 		// ID rides in every fragment so the receiver's reassemble/admit
 		// spans — in another vehicle's pipeline — hang under it. With
-		// tracing off, s.trace is 0, the span is inert, and dataFrames
+		// tracing off, s.trace is 0, the span is inert, and DataFrames
 		// emits the untraced wire format.
 		name := "chunk_send"
 		if resent {
@@ -336,8 +336,8 @@ func (s *Session) fillWindow(round int, now float64) {
 		}
 		sp := s.rec.Start(s.trace, name)
 		sp.Arg = int64(s.next)
-		for _, f := range dataFrames(d, obs.TraceRef{Trace: s.trace, Parent: sp.ID()}, s.cfg.Epoch) {
-			// Send cannot fail: dataFrames fragments to the WSM bound.
+		for _, f := range DataFrames(d, obs.TraceRef{Trace: s.trace, Parent: sp.ID()}, s.cfg.Epoch) {
+			// Send cannot fail: DataFrames fragments to the WSM bound.
 			if err := s.data.Send(round, f); err != nil {
 				panic(err)
 			}
