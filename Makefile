@@ -58,7 +58,7 @@ BENCH_OUT      ?= BENCH_5.json
 
 bench:
 	go test -run XXXNONE \
-		-bench 'BenchmarkFindSYNs$$|BenchmarkSearcherInstrumented|BenchmarkEngineResolve|BenchmarkEngineSteadyState' \
+		-bench 'BenchmarkFindSYNs$$|BenchmarkFindSYNsNoSYN|BenchmarkSearcherInstrumented|BenchmarkEngineResolve|BenchmarkEngineSteadyState' \
 		-benchmem -count 3 . | tee $(BENCH_CURRENT)
 	go run ./cmd/rups-bench -baseline $(BENCH_BASELINE) \
 		-current $(BENCH_CURRENT) -out $(BENCH_OUT)

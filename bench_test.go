@@ -145,24 +145,27 @@ func BenchmarkFig12VsGPS(b *testing.B) {
 // syntheticPair builds two dense 1 km trajectories with a known overlap,
 // isolating the SYN search from the simulation.
 func syntheticPair() (*trajectory.Aware, *trajectory.Aware) {
+	return syntheticRoad(500, 1500, 1000), syntheticRoad(525, 1500, 998)
+}
+
+// syntheticRoad samples a dense 1 km eastbound trajectory starting at
+// (startX, y) in a fixed urban field, its first mark at time t0.
+func syntheticRoad(startX, y, t0 float64) *trajectory.Aware {
 	area := gsm.Bounds{MinX: 0, MinY: 0, MaxX: 3000, MaxY: 3000}
 	f := gsm.NewField(7, gsm.GenerateTowers(7, area, gsm.ConstZone(gsm.Urban)), gsm.ConstZone(gsm.Urban))
-	build := func(startX float64, t0 float64) *trajectory.Aware {
-		const n = 1000
-		g := trajectory.Geo{Marks: make([]trajectory.GeoMark, n)}
-		for i := range g.Marks {
-			g.Marks[i] = trajectory.GeoMark{Theta: math.Pi / 2, T: t0 + float64(i)/12}
-		}
-		a := trajectory.NewAware(g)
-		for i := 0; i < n; i++ {
-			pos := geo.Vec2{X: startX + float64(i), Y: 1500}
-			for ch := 0; ch < gsm.NumChannels; ch++ {
-				a.SetPower(ch, i, f.Sample(pos, ch, g.Marks[i].T))
-			}
-		}
-		return a
+	const n = 1000
+	g := trajectory.Geo{Marks: make([]trajectory.GeoMark, n)}
+	for i := range g.Marks {
+		g.Marks[i] = trajectory.GeoMark{Theta: math.Pi / 2, T: t0 + float64(i)/12}
 	}
-	return build(500, 1000), build(525, 998)
+	a := trajectory.NewAware(g)
+	for i := 0; i < n; i++ {
+		pos := geo.Vec2{X: startX + float64(i), Y: y}
+		for ch := 0; ch < gsm.NumChannels; ch++ {
+			a.SetPower(ch, i, f.Sample(pos, ch, g.Marks[i].T))
+		}
+	}
+	return a
 }
 
 var (
@@ -250,6 +253,26 @@ func BenchmarkFindSYNs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFindSYNsNoSYN is BenchmarkFindSYNs on two unrelated 1 km
+// contexts — parallel roads 1 km apart, sharing no SYN point. Half of a
+// cross-road fleet's queries look like this, and the coherency floor of the
+// direction scans is what keeps them cheap.
+func BenchmarkFindSYNsNoSYN(b *testing.B) {
+	noSYNOnce.Do(func() { noSYNA, noSYNB = syntheticRoad(500, 1000, 1000), syntheticRoad(500, 2000, 1000) })
+	p := core.DefaultParams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if syns := core.FindSYNs(noSYNA, noSYNB, p, p.NumSYN); len(syns) != 0 {
+			b.Fatalf("found %d SYNs between unrelated roads", len(syns))
+		}
+	}
+}
+
+var (
+	noSYNOnce      sync.Once
+	noSYNA, noSYNB *trajectory.Aware
+)
 
 // BenchmarkSearcherInstrumented is BenchmarkFindSYNs with the telemetry
 // layer explicitly disabled — the overhead guard for PR 4's instrument

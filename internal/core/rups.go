@@ -137,9 +137,9 @@ func (s *Searcher) selectRows(a *trajectory.Aware, channels []int) [][]float64 {
 // segment's direction scans on the tracker's previous-tick SYN offsets and
 // refresh them from this search's outcome. Results are identical to the
 // cold path's for any tracker state: a warm pivot only changes the order
-// the exact branch-and-bound scan evaluates placements in, and a
-// cross-direction seed only prunes placements proven unable to win the
-// direction combine (see warmSegment) — never a maximum, never a SYN.
+// the exact bounded scan evaluates placements in, and flooring the other
+// direction at the first one's score only prunes placements proven unable
+// to win the direction combine (see scanSegment) — never a SYN.
 func (s *Searcher) SetTracker(tk *Tracker) { s.tk = tk }
 
 // SetTrace stitches this search into an existing causal trace — in the
@@ -185,10 +185,9 @@ type segmentPlan struct {
 	// Warm start: pivotB/pivotA are the tracker-predicted window
 	// placements for the two directions (-1 = cold, pivot on the range
 	// midpoint), hintDelta the hint they were derived from. A direction
-	// whose pivot is in range runs the exact branch-and-bound scan from
-	// that pivot; the other direction scans seeded with the first's score
-	// (see warmSegment). Both are exact, so warm plans combine like cold
-	// ones.
+	// whose pivot is in range runs the exact bounded scan from that pivot;
+	// the other direction scans floored at the first's score (see
+	// scanSegment). Both combine exactly like cold plans.
 	warm           bool
 	pivotB, pivotA int
 	hintDelta      int
@@ -243,93 +242,62 @@ func (s *Searcher) bounds(targetLen, w, endOff int) (lo, hi int) {
 	return centre - s.p.MaxRelDistM, centre + s.p.MaxRelDistM
 }
 
-// warmSegment runs a warm segment's two direction scans in dependency
-// order instead of fanning them out independently. A direction whose
-// hint-predicted pivot falls inside its admissible range runs the ordinary
-// exact branch-and-bound scan pivoted on the hint instead of the range
-// midpoint: on a live lock the first placement visited is the true match,
-// whose score prunes every other placement on its cheap column term alone,
-// so the scan degrades to one channel term plus a column sweep — and when
-// the hint is stale the bound simply admits more channel-term evaluations
-// until the true maximum is found, never a wrong answer (same maximum for
-// any pivot; only evaluation order changes). The other direction — whose
-// pivot typically lands outside its range when the two context lengths
-// differ — cannot be skipped (the cold oracle computes a real score there
-// that can win combine), but it can be scanned seeded with the first
-// direction's exact score: placements that provably cannot win combine
-// are pruned on their column term alone (bestWindowSeededIn), so a
-// direction holding no real alignment costs one column sweep instead of a
-// full channel-term scan. Either way every direction result equals the
-// cold scan's, so combine — and the resolved estimate — is oracle-exact
-// with no fallback wave.
-func (s *Searcher) warmSegment(pl *segmentPlan) {
-	endA := s.aCtx.Len() - 1 - pl.endOff
-	endB := s.bCtx.Len() - 1 - pl.endOff
-	scAB := newSegScorer(s.idxA, s.idxB, endA-pl.w+1, pl.w, s.p.NoColumnTerm)
-	loB, hiB := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
-	floB, fhiB := clampRange(loB, hiB, scAB.positions())
-	abWarm := floB <= fhiB && pl.pivotB >= floB && pl.pivotB <= fhiB
-
-	var scBA *segScorer
-	var loA, hiA int
-	baWarm := false
-	if !s.p.SingleSided {
-		scBA = newSegScorer(s.idxB, s.idxA, endB-pl.w+1, pl.w, s.p.NoColumnTerm)
-		loA, hiA = s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
-		floA, fhiA := clampRange(loA, hiA, scBA.positions())
-		baWarm = floA <= fhiA && pl.pivotA >= floA && pl.pivotA <= fhiA
-		if baWarm {
-			sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
-			sp.Arg = int64(pl.endOff)
-			pl.posA, pl.scoreBA = scBA.bestWindowInFrom(loA, hiA, pl.pivotA)
-			sp.End()
-		}
+// scanSegment runs a segment's two direction scans one after the other
+// instead of fanning them out independently, so the second can be floored
+// at the first's score. It runs every warm segment, and FindSYNSeg's
+// single segment. The direction whose hint-predicted pivot falls inside
+// its admissible range scans first, pivoted on the hint instead of the
+// range midpoint: on a live lock the first placement visited is the true
+// match, whose score prunes every other placement on its cheap column term
+// alone — and when the hint is stale the bound simply admits more
+// channel-term evaluations until the true maximum is found, never a wrong
+// answer (a pivot only reorders evaluation). The other direction cannot be
+// skipped (the cold oracle computes a real score there that can win
+// combine), but it only matters if it wins combine, so it scans floored at
+// the larger of the threshold and the first direction's exact score, under
+// combine's tie rule (AB wins exact ties, BA loses them). A direction
+// holding no real alignment then costs about one column sweep. Combine —
+// and the resolved estimate — is oracle-exact with no fallback wave (see
+// bestWindowFrom).
+func (s *Searcher) scanSegment(pl *segmentPlan) {
+	baFirst := !s.p.SingleSided &&
+		!s.pivotInRange(pl.pivotB, s.bCtx.Len(), pl) && s.pivotInRange(pl.pivotA, s.aCtx.Len(), pl)
+	if baFirst {
+		s.scanBA(pl, floor{v: pl.threshold})
+		// AB wins combine ties: a score equal to BA's still reaches.
+		s.scanAB(pl, floor{v: math.Max(pl.threshold, pl.scoreBA)})
+		return
 	}
-
-	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ab")
-	sp.Arg = int64(pl.endOff)
-	if !abWarm && baWarm {
-		// AB wins combine ties, so the seed prunes only placements that
-		// cannot even reach the exact BA score.
-		pl.posB, pl.scoreAB = scAB.bestWindowSeededIn(loB, hiB, pl.scoreBA, true)
-	} else {
-		// Warm-pivoted when the pivot is in range; bestWindowInFrom falls
-		// back to the midpoint pivot itself otherwise.
-		pl.posB, pl.scoreAB = scAB.bestWindowInFrom(loB, hiB, pl.pivotB)
+	s.scanAB(pl, floor{v: pl.threshold})
+	if s.p.SingleSided {
+		return
 	}
-	sp.End()
-
-	if scBA != nil && !baWarm {
-		sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
-		sp.Arg = int64(pl.endOff)
-		if abWarm {
-			// BA loses combine ties: placements that can at best tie the AB
-			// score are pruned too.
-			pl.posA, pl.scoreBA = scBA.bestWindowSeededIn(loA, hiA, pl.scoreAB, false)
-		} else {
-			pl.posA, pl.scoreBA = scBA.bestWindowInFrom(loA, hiA, pl.pivotA)
-		}
-		sp.End()
+	f := floor{v: pl.threshold}
+	if pl.scoreAB >= pl.threshold {
+		// BA loses combine ties: it must strictly beat AB's exact score.
+		f = floor{v: pl.scoreAB, tiesLose: true}
 	}
+	s.scanBA(pl, f)
+}
 
-	s.flushScan(scAB)
-	scAB.release()
-	if scBA != nil {
-		s.flushScan(scBA)
-		scBA.release()
-	}
+// pivotInRange reports whether a warm pivot lands among the admissible
+// placements on a target of tgtLen marks.
+func (s *Searcher) pivotInRange(pivot, tgtLen int, pl *segmentPlan) bool {
+	lo, hi := s.bounds(tgtLen, pl.w, pl.endOff)
+	lo, hi = clampRange(lo, hi, tgtLen-pl.w+1)
+	return pivot >= lo && pivot <= hi
 }
 
 // scanAB runs direction 1 of the double-sliding check: A's reference
-// segment slides over B, over the full locality range. Warm segments go
-// through warmSegment instead.
-func (s *Searcher) scanAB(pl *segmentPlan) {
+// segment slides over B, over the full locality range, pivoted on the
+// plan's warm pivot (the range midpoint when cold) and floored at f.
+func (s *Searcher) scanAB(pl *segmentPlan, f floor) {
 	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ab")
 	sp.Arg = int64(pl.endOff)
 	endA := s.aCtx.Len() - 1 - pl.endOff
 	sc := newSegScorer(s.idxA, s.idxB, endA-pl.w+1, pl.w, s.p.NoColumnTerm)
 	lo, hi := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
-	pl.posB, pl.scoreAB = sc.bestWindowInFrom(lo, hi, pl.pivotB)
+	pl.posB, pl.scoreAB = sc.bestWindowFrom(lo, hi, pl.pivotB, f)
 	s.flushScan(sc)
 	sc.release()
 	sp.End()
@@ -347,23 +315,24 @@ func clampRange(lo, hi, n int) (int, int) {
 }
 
 // flushScan folds one direction scan's placement counts into the metrics
-// registry (two atomic adds; skipped entirely while telemetry is off).
+// registry (three atomic adds; skipped entirely while telemetry is off).
 func (s *Searcher) flushScan(sc *segScorer) {
 	if t := s.tel; t != nil {
 		t.windows.Add(uint64(sc.visited))
 		t.pruned.Add(uint64(sc.pruned))
+		t.abandoned.Add(uint64(sc.abandoned))
 	}
 }
 
 // scanBA runs direction 2: B's reference segment slides over A (skipped in
-// the single-sided ablation).
-func (s *Searcher) scanBA(pl *segmentPlan) {
+// the single-sided ablation), pivoted and floored like scanAB.
+func (s *Searcher) scanBA(pl *segmentPlan, f floor) {
 	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
 	sp.Arg = int64(pl.endOff)
 	endB := s.bCtx.Len() - 1 - pl.endOff
 	sc := newSegScorer(s.idxB, s.idxA, endB-pl.w+1, pl.w, s.p.NoColumnTerm)
 	lo, hi := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
-	pl.posA, pl.scoreBA = sc.bestWindowInFrom(lo, hi, pl.pivotA)
+	pl.posA, pl.scoreBA = sc.bestWindowFrom(lo, hi, pl.pivotA, f)
 	s.flushScan(sc)
 	sc.release()
 	sp.End()
@@ -426,10 +395,7 @@ func (s *Searcher) FindSYNSeg(endOff int) (SYNPoint, bool) {
 		return SYNPoint{}, false
 	}
 	pl.posA, pl.scoreBA = -1, math.Inf(-1)
-	s.scanAB(&pl)
-	if !s.p.SingleSided {
-		s.scanBA(&pl)
-	}
+	s.scanSegment(&pl)
 	return s.combine(&pl)
 }
 
@@ -464,20 +430,22 @@ func (s *Searcher) FindSYNs(n int, par Parallel) []SYNPoint {
 		*p = pl
 		plans = append(plans, p)
 		if p.warm {
-			// Warm directions depend on each other (the verified one seeds
-			// the other's pruning), so the segment runs as one task.
-			tasks = append(tasks, func() { s.warmSegment(p) })
+			// Warm directions depend on each other (the pivoted one floors
+			// the other's scan), so the segment runs as one task.
+			tasks = append(tasks, func() { s.scanSegment(p) })
 			continue
 		}
-		tasks = append(tasks, func() { s.scanAB(p) })
+		// Cold directions run independently, each floored at the threshold:
+		// combine only ever accepts a score that reaches it.
+		tasks = append(tasks, func() { s.scanAB(p, floor{v: p.threshold}) })
 		if !s.p.SingleSided {
-			tasks = append(tasks, func() { s.scanBA(p) })
+			tasks = append(tasks, func() { s.scanBA(p, floor{v: p.threshold}) })
 		}
 	}
 	par(tasks...)
-	// Warm and cold direction results are equally exact (a warm pivot or
-	// seed only reorders/prunes evaluation, never changes a maximum), so
-	// every plan combines once, in segment order.
+	// Warm and cold direction results combine equally exactly (a pivot
+	// only reorders evaluation, a floor only drops results combine would
+	// reject or lose), so every plan combines once, in segment order.
 	var out []SYNPoint
 	for i, pl := range plans {
 		if pl == nil {

@@ -332,9 +332,10 @@ type segScorer struct {
 
 	// Scan telemetry, accumulated as plain ints during the placement loops
 	// and flushed to the searcher's counters once per direction scan:
-	// visited placements had their channel term evaluated, pruned ones were
-	// rejected on the column-term bound alone.
-	visited, pruned int
+	// visited placements were scored in full, pruned ones were rejected on
+	// the column-term bound alone, abandoned ones partway through the
+	// channel term.
+	visited, pruned, abandoned int
 }
 
 // newSegScorer prepares a reference segment scorer. Degenerate inputs
@@ -460,35 +461,16 @@ func (s *segScorer) scoreAt(j int) float64 {
 
 // chanTerm is Eq. 2's first term: the mean per-channel Pearson correlation
 // of the reference segment against the target window at j (dense path).
-// On the planned path each row costs one dot product, one sqrt and two
-// multiplies — the target-window reciprocal √variance is formed lazily
-// from the prefix tables, because warm-started and well-pruned scans
-// visit far fewer placements than precomputing a k×n table would cover;
-// otherwise the full variance difference is formed per position.
+// On the planned path it is chanTermAbove with nothing to beat; otherwise
+// the full variance difference is formed per position.
 func (s *segScorer) chanTerm(j int) float64 {
+	if s.ws != nil {
+		ct, _ := s.chanTermAbove(j, 0, math.Inf(-1), noFloor) // finite bounds never fail -Inf
+		return ct
+	}
 	wf := float64(s.w)
 	sc := s.scratch
 	var chanSum float64
-	if s.ws != nil {
-		for i := 0; i < s.src.k; i++ {
-			ps := s.tgt.preSum[i]
-			pq := s.tgt.preSq[i]
-			sy := ps[j+s.w] - ps[j]
-			var iy float64
-			if vy := pq[j+s.w] - pq[j] - sy*sy/wf; vy > 0 {
-				iy = 1 / math.Sqrt(vy)
-			}
-			sxy := dot(sc.dev[i], s.tgt.shifted[i][j:j+s.w])
-			r := (sxy - sc.devSum[i]*sy/wf) * sc.invVx[i] * iy
-			if r > 1 {
-				r = 1
-			} else if r < -1 {
-				r = -1
-			}
-			chanSum += r
-		}
-		return chanSum / float64(s.src.k)
-	}
 	for i := 0; i < s.src.k; i++ {
 		ps := s.tgt.preSum[i]
 		pq := s.tgt.preSq[i]
@@ -498,6 +480,54 @@ func (s *segScorer) chanTerm(j int) float64 {
 		chanSum += pearsonFromSums(wf, sc.devSum[i], sc.devVar[i], sy, sqy, sxy)
 	}
 	return chanSum / float64(s.src.k)
+}
+
+// chanTermAbove computes the planned-path channel term at placement j,
+// whose column term is cr, and abandons it (ok false) as soon as the score
+// chanTerm + cr provably cannot beat best or reach f. Each row costs one
+// dot product, one sqrt and two multiplies — the target-window reciprocal
+// √variance is formed lazily from the prefix tables, because warm-started
+// and well-pruned scans visit far fewer placements than precomputing a k×n
+// table would cover.
+//
+// The bound after row i, with rem rows left, is (chanSum + rem)/k + cr:
+// each remaining clamped r is at most 1. It must bound the score as
+// computed in float64, not just the real-valued one. Float addition is
+// monotone, so the rows still to come add at most chanSum ⊕ 1 ⊕ … ⊕ 1;
+// every partial sum has magnitude ≤ k, so those rem ≤ k roundings, the
+// division by k, the + cr and the bound's own evaluation stay within
+// (2k + 16)·2⁻⁵³ of the real bound — under 1e-9 for any k below 10⁶, and
+// k is at most the channel count. abandonSlack covers it.
+func (s *segScorer) chanTermAbove(j int, cr, best float64, f floor) (ct float64, ok bool) {
+	wf := float64(s.w)
+	kf := float64(s.src.k)
+	invK := 1 / kf
+	crs := cr + abandonSlack
+	rem := kf
+	sc := s.scratch
+	var chanSum float64
+	for i := 0; i < s.src.k; i++ {
+		ps := s.tgt.preSum[i]
+		pq := s.tgt.preSq[i]
+		sy := ps[j+s.w] - ps[j]
+		var iy float64
+		if vy := pq[j+s.w] - pq[j] - sy*sy/wf; vy > 0 {
+			iy = 1 / math.Sqrt(vy)
+		}
+		sxy := dot(sc.dev[i], s.tgt.shifted[i][j:j+s.w])
+		r := (sxy - sc.devSum[i]*sy/wf) * sc.invVx[i] * iy
+		if r > 1 {
+			r = 1
+		} else if r < -1 {
+			r = -1
+		}
+		chanSum += r
+		rem--
+		if u := (chanSum+rem)*invK + crs; u <= best || !f.reachedBy(u) {
+			return 0, false
+		}
+	}
+	return chanSum / kf, true
 }
 
 // colTerm is Eq. 2's second term: the correlation of the column means
@@ -571,75 +601,105 @@ func pearsonFromSums(n, sx, sqx, sy, sqy, sxy float64) float64 {
 	return r
 }
 
-// bestWindowIn scans the window placements j ∈ [lo, hi] (clamped to the
-// valid range) and returns the best-scoring position and score. A
-// position of -1 with score -Inf means the range was empty.
-func (s *segScorer) bestWindowIn(lo, hi int) (pos int, score float64) {
-	return s.bestWindowInFrom(lo, hi, -1)
+// floor is the score a direction scan's result must reach to matter to
+// combine, with combine's tie rule: a segment accepts Score >= threshold,
+// and AB wins exact score ties against BA. A scan floored at the segment
+// threshold (ties reach) or — when the other direction was scanned first —
+// at the larger of the threshold and that direction's exact score (ties
+// reach for AB, lose for BA) may skip any placement that provably cannot
+// reach the floor.
+type floor struct {
+	v        float64
+	tiesLose bool // a score equal to v does not reach the floor
 }
 
-// bestWindowInFrom is bestWindowIn with an explicit scan pivot: the pruned
-// scan starts at pivot and expands outward, so a warm-start hint placing
-// the pivot on the true match establishes a strong incumbent immediately
-// and the column-term bound prunes the rest of the range. A pivot outside
-// [lo, hi] (including the cold sentinel -1) falls back to the range
-// midpoint. The pivot only reorders evaluation — the returned maximum is
-// identical for every pivot, which is what makes warm-started results
-// exactly equal to the cold oracle's.
-func (s *segScorer) bestWindowInFrom(lo, hi, pivot int) (pos int, score float64) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.positions()-1 {
-		hi = s.positions() - 1
-	}
+// noFloor makes a scan exact over its whole range: every score reaches it.
+var noFloor = floor{v: math.Inf(-1)}
+
+// reachedBy reports whether score x — or an upper bound on a score —
+// reaches the floor. It is monotone in x, so a bound that fails it proves
+// the bounded score fails it too.
+func (f floor) reachedBy(x float64) bool {
+	//lint:ignore floatcmp combine's tie rule is exact score equality (clamped correlations tie at exactly 2); an epsilon would change which direction wins
+	return x > f.v || (!f.tiesLose && x == f.v)
+}
+
+// abandonSlack pads the early-abandoning bound so it stays a true upper
+// bound on the score as computed in float64; see chanTermAbove.
+const abandonSlack = 1e-9
+
+// bestWindowIn scans the window placements j ∈ [lo, hi] (clamped to the
+// valid range) exactly and returns the best-scoring position and score. A
+// position of -1 with score -Inf means the range was empty.
+func (s *segScorer) bestWindowIn(lo, hi int) (pos int, score float64) {
+	return s.bestWindowFrom(lo, hi, -1, noFloor)
+}
+
+// bestWindowFrom is the direction scan: the best placement in [lo, hi]
+// among those reaching floor f. On the dense path it is an exact bounded
+// scan. Column terms are evaluated first for the whole range; placements
+// are then visited pivot-outward from pivot (a pivot outside [lo, hi],
+// including the cold sentinel -1, falls back to the range midpoint — the
+// aligned position, where the locality bound expects the match; a warm
+// scan pivots on the tracker's predicted placement). Work is skipped two
+// ways, both against the same test — can this placement still beat the
+// incumbent and reach the floor?
+//
+//   - Column bound: Eq. 2's channel term is a mean of clamped correlations,
+//     so it never exceeds 1, and colR + 1 bounds the score before any of
+//     the k·w channel dot products run (windows_pruned).
+//   - Early abandoning: inside the channel term the bound tightens channel
+//     by channel (chanTermAbove), and a placement is dropped as soon as it
+//     fails (windows_abandoned).
+//
+// Exactness: a placement whose score beats every earlier-visited score
+// and reaches f has bounds at least that score at every check, so it is
+// scored in full; the first-visited maximum is therefore returned
+// bitwise, at the same position as the unfloored scan, whenever the range
+// maximum reaches f. Otherwise the result may undercount, but every score
+// returned then fails f — (-1, -Inf) when no placement was scored in
+// full — and combine rejects it or prefers the other direction exactly as
+// it would the true maximum. A pivot only reorders evaluation.
+//
+// The missing-tolerant and ablation paths have no bound and scan every
+// placement in order, exactly.
+func (s *segScorer) bestWindowFrom(lo, hi, pivot int, f floor) (pos int, score float64) {
+	lo, hi = clampRange(lo, hi, s.positions())
 	if hi < lo {
 		return -1, math.Inf(-1)
 	}
-	if s.dense && !s.noCol && s.ws != nil {
-		if pivot < lo || pivot > hi {
-			pivot = lo + (hi-lo)/2
-		}
-		return s.bestWindowPrunedFrom(lo, hi, pivot)
-	}
 	best := math.Inf(-1)
 	bestJ := -1
-	s.visited += hi - lo + 1
-	for j := lo; j <= hi; j++ {
-		if sc := s.scoreAt(j); sc > best {
-			best = sc
-			bestJ = j
+	if !s.canBound() {
+		s.visited += hi - lo + 1
+		for j := lo; j <= hi; j++ {
+			if sc := s.scoreAt(j); sc > best {
+				best = sc
+				bestJ = j
+			}
 		}
+		return bestJ, best
 	}
-	return bestJ, best
-}
-
-// bestWindowPrunedFrom is the dense-path scan with a branch-and-bound
-// prune: Eq. 2's per-channel mean term is a mean of clamped correlations,
-// so it never exceeds 1, and a placement can only beat the incumbent when
-// its (cheap, single-dot) column term satisfies colR + 1 > best. Column
-// terms are evaluated first for the whole range; placements are then
-// visited pivot-outward. A cold scan pivots on the range midpoint (the
-// aligned position, where the locality bound expects the match); a
-// warm-started scan pivots on the tracker's predicted placement. Either
-// way a strong incumbent appears early and prunes most of the k·w channel
-// work elsewhere. Same maximum as the plain scan; only evaluation order
-// differs.
-func (s *segScorer) bestWindowPrunedFrom(lo, hi, pivot int) (pos int, score float64) {
+	if pivot < lo || pivot > hi {
+		pivot = lo + (hi-lo)/2
+	}
 	colR := s.scratch.growColR(hi - lo + 1)
 	for j := lo; j <= hi; j++ {
 		colR[j-lo] = s.colTerm(j)
 	}
-	best := math.Inf(-1)
-	bestJ := -1
 	visit := func(j int) {
 		cr := colR[j-lo]
-		if cr+1 <= best {
+		if b := cr + 1; b <= best || !f.reachedBy(b) {
 			s.pruned++
 			return
 		}
+		ct, ok := s.chanTermAbove(j, cr, best, f)
+		if !ok {
+			s.abandoned++
+			return
+		}
 		s.visited++
-		if sc := s.chanTerm(j) + cr; sc > best {
+		if sc := ct + cr; sc > best {
 			best = sc
 			bestJ = j
 		}
@@ -661,54 +721,8 @@ func (s *segScorer) bestWindow() (pos int, score float64) {
 	return s.bestWindowIn(0, s.positions()-1)
 }
 
-// canBound reports whether the dense pruned path — and with it the
-// column-term bound bestWindowSeededIn relies on — is available for this
-// scorer.
+// canBound reports whether the dense bounded scan — and with it the
+// column-term bound — is available for this scorer.
 func (s *segScorer) canBound() bool {
 	return s.dense && !s.noCol && s.ws != nil && s.positions() > 0
-}
-
-// bestWindowSeededIn scans [lo, hi] like bestWindowIn but prunes against a
-// cross-direction seed: the other direction's exact score, which this
-// direction must beat for combine to pick it. Placements whose column-term
-// bound colR + 1 cannot reach the seed are skipped without the k·w channel
-// dot products, so a direction holding no real alignment costs one column
-// sweep. tiesWin states combine's tie rule for this direction (AB wins
-// exact score ties, BA loses them): a ties-win direction keeps placements
-// that can merely *equal* the seed, a ties-lose direction prunes them too.
-//
-// The returned best is exact whenever it would win combine against the
-// seed — a winning placement j has colR(j) + 1 ≥ score(j) ≥ (or >) seed and
-// is never pruned. Otherwise the result may undercount, but every skipped
-// placement provably loses combine to the seeding direction, so combine's
-// outcome equals the cold full scan's either way.
-func (s *segScorer) bestWindowSeededIn(lo, hi int, seed float64, tiesWin bool) (pos int, score float64) {
-	lo, hi = clampRange(lo, hi, s.positions())
-	if hi < lo {
-		return -1, math.Inf(-1)
-	}
-	if !s.canBound() {
-		return s.bestWindowInFrom(lo, hi, -1)
-	}
-	colR := s.scratch.growColR(hi - lo + 1)
-	for j := lo; j <= hi; j++ {
-		colR[j-lo] = s.colTerm(j)
-	}
-	best := math.Inf(-1)
-	bestJ := -1
-	for j := lo; j <= hi; j++ {
-		cr := colR[j-lo]
-		bound := cr + 1
-		//lint:ignore floatcmp combine's tie rule is exact score equality (clamped correlations tie at exactly 2); an epsilon would change which direction wins
-		if bound <= best || bound < seed || (!tiesWin && bound == seed) {
-			s.pruned++
-			continue
-		}
-		s.visited++
-		if sc := s.chanTerm(j) + cr; sc > best {
-			best = sc
-			bestJ = j
-		}
-	}
-	return bestJ, best
 }

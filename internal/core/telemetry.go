@@ -8,13 +8,14 @@ import "rups/internal/obs"
 // scan loops themselves only bump plain ints that are flushed here in one
 // atomic add per direction.
 type searchTelemetry struct {
-	searches *obs.Counter
-	segments *obs.Counter
-	windows  *obs.Counter
-	pruned   *obs.Counter
-	accepted *obs.Counter
-	rejected *obs.Counter
-	margin   *obs.Histogram
+	searches  *obs.Counter
+	segments  *obs.Counter
+	windows   *obs.Counter
+	pruned    *obs.Counter
+	abandoned *obs.Counter
+	accepted  *obs.Counter
+	rejected  *obs.Counter
+	margin    *obs.Histogram
 
 	// Warm-start accounting (tracked searches only — see core.Tracker).
 	warmHits      *obs.Counter
@@ -30,14 +31,18 @@ var searchTel = obs.NewView(func(r *obs.Registry) *searchTelemetry {
 		windows: r.Counter("rups_searcher_windows_scanned_total",
 			"window placements fully scored (channel term evaluated)"),
 		pruned: r.Counter("rups_searcher_windows_pruned_total",
-			"window placements skipped by the branch-and-bound column-term bound"),
+			"window placements skipped on the column-term bound (cannot beat the incumbent or reach the coherency floor)"),
+		abandoned: r.Counter("rups_searcher_windows_abandoned_total",
+			"window placements abandoned partway through the channel term by the tightening bound"),
 		accepted: r.Counter("rups_searcher_syn_accepted_total",
 			"segment checks whose best window passed the coherency threshold and heading gate"),
 		rejected: r.Counter("rups_searcher_syn_rejected_total",
 			"segment checks rejected (no candidate, below threshold, or heading gate)"),
 		// Margins are score − threshold: fractions of the [-2, 2] coherency
 		// scale, so 2^-8 ≈ 0.004 up to 2^2 = 4 covers them; sub-threshold
-		// candidates land in the underflow bucket.
+		// candidates land in the underflow bucket. Segments where the floored
+		// scans scored no placement in full are not observed, and a
+		// sub-threshold margin is a lower bound (see bestWindowFrom).
 		margin: r.Histogram("rups_searcher_coherency_margin",
 			"best-window score minus the segment's coherency threshold", -8, 2),
 		warmHits: r.Counter("rups_core_warmstart_hits_total",

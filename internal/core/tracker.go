@@ -11,16 +11,18 @@ const DefaultWarmRadiusM = 25
 // segment ordinal (the i-th NumSYN segment). Each hint is the previous
 // tick's SYN index delta IdxB − IdxA — a quantity stable under appends,
 // since both indexes are global marks counted from each trajectory's
-// start. The searcher turns a hint into a predicted window placement and
-// scans a bounded window around it, accepting the bounded result only when
-// the column-term bound proves it dominates the whole locality range — a
-// wrong hint costs a demoted full rescan, never correctness (the result is
-// always identical to the cold oracle's).
+// start. The searcher turns a hint into a predicted window placement per
+// direction and pivots that direction's exact bounded scan on it; the
+// other direction then scans floored at the first one's score (see
+// Searcher.scanSegment). A hint only reorders and prunes evaluation, so a
+// wrong hint costs time, never correctness: the result is always
+// identical to the cold oracle's, and there is no rescan.
 //
 // State machine per segment:
 //
 //	no hint ──(SYN accepted)──▶ tracked ──(SYN accepted)──▶ tracked
 //	tracked ──(segment rejected: coherency loss, heading gate)──▶ no hint
+//	tracked ──(segment unplannable: context too short)──▶ no hint
 //	any ──(Tracker.Reset: staleness expiry, pair re-keyed)──▶ no hint
 //
 // A Tracker is owned by one engine pair slot and must not be shared across
@@ -61,8 +63,9 @@ func (t *Tracker) forget(seg int) {
 }
 
 // observe records a segment's outcome: an accepted SYN refreshes the hint,
-// a rejection demotes the segment to cold scanning (coherency loss must
-// not keep steering future scans toward a stale lock).
+// a rejection drops it, so the next tick pivots that segment on the range
+// midpoint again (coherency loss must not keep steering future scans
+// toward a stale lock).
 func (t *Tracker) observe(seg int, syn SYNPoint, ok bool) {
 	if !ok {
 		delete(t.hints, seg)

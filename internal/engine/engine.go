@@ -355,10 +355,9 @@ func (b *Batch) Len() int { return len(b.snaps) }
 //
 // Unlike ResolvePairs (the cold oracle), this entry point warm-starts
 // every pair from the engine's per-pair tracker cache: steady-state
-// re-resolves pivot their scans on the previous tick's SYN offsets. A warm
-// bounded scan is accepted only when it is proven to dominate the full
-// scan range (and demotes to the cold scan otherwise), so results stay
-// identical to the cold path's — with a zero-value (disabled) policy this
+// re-resolves pivot their exact scans on the previous tick's SYN offsets,
+// which only reorders evaluation, so results stay identical to the cold
+// path's — with a zero-value (disabled) policy this
 // returns exactly what ResolvePairs would, just faster on repeat contact.
 func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol core.Staleness) []Result {
 	return b.resolve(pairs, p, batchReq{warm: true, now: now, pol: pol})
