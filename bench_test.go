@@ -366,6 +366,39 @@ func BenchmarkEngineResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineResolveStatic is the repeat-contact case: one batch of
+// static snapshots admitted once, then all 30 ordered pairs of the convoy
+// resolved through the cold oracle again and again — the shape of a
+// read-only fleet queried many times. Every context's row statistics are
+// computed on its first use and read from the snapshot afterwards.
+func BenchmarkEngineResolveStatic(b *testing.B) {
+	trajs := getConvoy()
+	p := core.DefaultParams()
+	e := engine.New(0)
+	defer e.Close()
+	batch, err := e.Admit(trajs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pairs [][2]int
+	for x := range trajs {
+		for y := range trajs {
+			if x != y {
+				pairs = append(pairs, [2]int{x, y})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range batch.ResolvePairs(pairs, p) {
+			if !r.OK {
+				b.Fatalf("convoy pair (%d,%d) did not resolve", r.A, r.B)
+			}
+		}
+	}
+}
+
 // BenchmarkEngineResolveSequential is the same batch answered by the
 // sequential core.Resolve oracle — the speedup denominator.
 func BenchmarkEngineResolveSequential(b *testing.B) {

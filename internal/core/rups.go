@@ -55,10 +55,20 @@ func clip(a *trajectory.Aware, p Params) (*trajectory.Aware, int) {
 
 // Searcher owns the shared precomputation for SYN searches between one
 // pair of trajectories: the clipped contexts, the checking-window channel
-// selection, and one matrixIndex per side. Building it costs the O(k·m)
-// preprocessing once; every segment offset and both sliding directions of
-// every subsequent search reuse it, instead of rebuilding it 2·NumSYN
-// times per query as the layered FindSYN→findSYNWindow path used to.
+// selection, and one matrixIndex per side. Two parts of that work differ
+// in what they depend on:
+//
+//   - per context: every channel's row statistics (trajectory.RowStat),
+//     which rank A's checking window and give each selected row's shift
+//     and density. On sealed snapshots — what the engine resolves on —
+//     they are memoized, so they are computed once per snapshot however
+//     many pairs and queries read it; live trajectories recompute them;
+//   - per pair: the selected rows and their index (B's rows are the
+//     channels A's context selected), built in one pass per row.
+//
+// Every segment offset and both sliding directions of every search on the
+// Searcher then reuse the indexes, instead of rebuilding them 2·NumSYN
+// times per query.
 //
 // A Searcher reads the trajectories it was built on but never writes them.
 // It must not be shared across goroutines while trajectory appends are in
@@ -112,9 +122,9 @@ func NewSearcher(a, b *trajectory.Aware, p Params) *Searcher {
 	// idling at the noise floor — sparse suburbs may not have
 	// WindowChannels audible carriers, and constant rows only dilute the
 	// correlation.
-	channels := s.aCtx.TopAudibleChannels(p.WindowChannels, audibleFloorDBm, minWindowChannels)
-	s.idxA = newMatrixIndexArena(s.selectRows(s.aCtx, channels), s.ar)
-	s.idxB = newMatrixIndexArena(s.selectRows(s.bCtx, channels), s.ar)
+	channels := s.aCtx.RowStats().TopAudible(p.WindowChannels, audibleFloorDBm, minWindowChannels)
+	s.idxA = newMatrixIndexArena(s.selectRows(s.aCtx, channels), s.aCtx.RowStatsOf(channels), s.ar)
+	s.idxB = newMatrixIndexArena(s.selectRows(s.bCtx, channels), s.bCtx.RowStatsOf(channels), s.ar)
 	return s
 }
 

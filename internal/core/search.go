@@ -32,10 +32,12 @@ func (s SYNPoint) RelativeDistance(a, b *trajectory.Aware) float64 {
 // matrixIndex is the per-matrix half of the sliding trajectory-correlation
 // scorer (stats.TrajCorr, Eq. 2): everything that depends only on one
 // selected power matrix (k channel rows × m metres). A Searcher builds one
-// index per trajectory snapshot and shares it across all NumSYN segment
-// offsets and both sliding directions — the O(k·m) preprocessing of the
-// paper's §V-A complexity argument is paid once per (pair, snapshot)
-// instead of 2·NumSYN times per query.
+// index per side and shares it across all NumSYN segment offsets and both
+// sliding directions, so the per-pair O(k·m) preprocessing of the paper's
+// §V-A complexity argument is paid once per query instead of 2·NumSYN
+// times. The rows depend on the pair (B's index holds the channels A's
+// context selected); the per-channel row statistics the build starts from
+// do not, and a sealed snapshot computes them once for every pair.
 //
 // All dense-path moments are accumulated about a per-row shift (the row's
 // mean over the whole matrix). Pearson's r is invariant under a constant
@@ -81,7 +83,7 @@ type matrixIndex struct {
 // placement is degenerate (vy ≤ 0, the multiplicative identity of "no
 // evidence"). The column term is evaluated for every placement of the
 // pruned scan's bound sweep, so it pays to precompute; the per-channel
-// reciprocals are formed lazily in chanTerm instead — warm-started and
+// reciprocals are formed lazily in chanTermAbove instead — warm-started and
 // well-pruned scans visit far fewer placements than a full k×n table
 // would cover.
 type winStats struct {
@@ -121,34 +123,39 @@ func (idx *matrixIndex) windowStats(w int) *winStats {
 	return nil
 }
 
-// newMatrixIndex builds the shared precomputation for one selected power
-// matrix. A zero-row or zero-column matrix yields a valid index with no
-// window positions rather than a panic.
-func newMatrixIndex(rows [][]float64) *matrixIndex {
-	return newMatrixIndexArena(rows, nil)
-}
-
-// newMatrixIndexArena is newMatrixIndex with its float64 backing arrays
-// grabbed from a searcher arena (plain allocation when ar is nil). Arena
-// memory is unzeroed, so every cell below is written explicitly — in
-// particular the prefix-table [0] sentinels that a range-over-append loop
-// would otherwise inherit from a previous cycle.
-func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
+// newMatrixIndexArena builds the shared precomputation for one selected
+// power matrix. st[i] is rows[i]'s trajectory.RowStat — the missing-skipping
+// in-order (sum, count) a sealed snapshot memoizes — so the dense check and
+// the row shifts cost nothing here, and the dense branch is one pass per
+// row. A zero-row or zero-column matrix yields a valid index with no window
+// positions rather than a panic.
+//
+// Float64 backing arrays are grabbed from the searcher arena (plain
+// allocation when ar is nil). Arena memory is unzeroed, so every cell below
+// is written explicitly — in particular the prefix-table [0] sentinels and
+// the column accumulators.
+//
+// Every float is produced by the same operations in the same order as a
+// separate pass per quantity would produce it: a dense row's count equals
+// m and its missing-skipping sum is the plain in-order sum, so shift[i] is
+// the row mean bit for bit; and the column sums accumulate row by row in
+// ascending row order from 0, exactly columnMeansInto's order
+// (TestMatrixIndexMatchesMultiPass pins this against the multi-pass
+// builder).
+func newMatrixIndexArena(rows [][]float64, st []trajectory.RowStat, ar *arena) *matrixIndex {
 	idx := &matrixIndex{rows: rows, k: len(rows), dense: true, ar: ar}
 	if idx.k == 0 {
-		idx.col = nil
 		return idx
 	}
 	idx.m = len(rows[0])
-	for i := 0; i < idx.k; i++ {
-		for _, v := range rows[i] {
-			if stats.IsMissing(v) {
-				idx.dense = false
-			}
+	for _, r := range st {
+		if r.N != idx.m {
+			idx.dense = false
 		}
 	}
-	idx.col = columnMeansInto(rows, ar.grab(idx.m))
+	idx.col = ar.grab(idx.m)
 	if !idx.dense {
+		columnMeansInto(rows, idx.col)
 		idx.missPre = make([][]int32, idx.k)
 		mpBack := make([]int32, idx.k*(idx.m+1)) // one backing array for all rows
 		for i := 0; i < idx.k; i++ {
@@ -175,14 +182,14 @@ func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
 	shBack := ar.grab(idx.k * idx.m)
 	psBack := ar.grab(idx.k * (idx.m + 1))
 	pqBack := ar.grab(idx.k * (idx.m + 1))
+	col := idx.col
+	for j := range col {
+		col[j] = 0
+	}
 	for i := 0; i < idx.k; i++ {
-		var sum float64
-		for _, v := range rows[i] {
-			sum += v
-		}
 		c := 0.0
 		if idx.m > 0 {
-			c = sum / float64(idx.m) //lint:ignore indexunit m is the sample count of the row mean here, not a metre distance
+			c = st[i].Sum / float64(idx.m) //lint:ignore indexunit m is the sample count of the row mean here, not a metre distance
 		}
 		idx.shift[i] = c
 		sh := shBack[i*idx.m : (i+1)*idx.m : (i+1)*idx.m]
@@ -194,15 +201,18 @@ func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
 			sh[j] = d
 			ps[j+1] = ps[j] + d
 			pq[j+1] = pq[j] + d*d
+			col[j] += v
 		}
 		idx.shifted[i] = sh
 		idx.preSum[i] = ps
 		idx.preSq[i] = pq
 	}
 
+	kf := float64(len(rows))
 	var colSum float64
-	for _, v := range idx.col {
-		colSum += v
+	for j := range col {
+		col[j] /= kf
+		colSum += col[j]
 	}
 	if idx.m > 0 {
 		idx.colShift = colSum / float64(idx.m) //lint:ignore indexunit m is the sample count of the column-mean shift, not a metre distance

@@ -316,14 +316,16 @@ type Batch struct {
 }
 
 // Admit is the copy-on-read admission boundary: it snapshots every
-// trajectory once, on the calling goroutine. The caller must own the
-// trajectories for the duration of the call — admit at a quiescent point
-// (a tick boundary, or the vehicle goroutine handing its own trajectory
-// over); Admit returning is the synchronization point after which appends
-// may resume concurrently with the batch's resolution. Admission is the
-// simulation's stand-in for the paper's context exchange, so it records an
-// "exchange" span (Arg = trajectories admitted). Returns ErrClosed after
-// Close.
+// trajectory once, on the calling goroutine. A trajectory that is already
+// a snapshot (the resolution service hands over its cached per-vehicle
+// snapshots) is admitted as it is, with its memoized row statistics. The
+// caller must own the trajectories for the duration of the call — admit
+// at a quiescent point (a tick boundary, or the vehicle goroutine handing
+// its own trajectory over); Admit returning is the synchronization point
+// after which appends may resume concurrently with the batch's
+// resolution. Admission is the simulation's stand-in for the paper's
+// context exchange, so it records an "exchange" span (Arg = trajectories
+// admitted). Returns ErrClosed after Close.
 func (e *Engine) Admit(trajs ...*trajectory.Aware) (*Batch, error) {
 	if e.isClosed() {
 		return nil, ErrClosed

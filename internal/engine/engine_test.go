@@ -289,3 +289,48 @@ func TestEngineCloseDuringResolve(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestSealedSnapshotsMatchLiveOracle: resolving on sealed snapshots, whose
+// row statistics are memoized once and shared by every pair, must be
+// bit-identical to the core.Resolve oracle on live clones, which recompute
+// them per search. The fleet has two unrelated roads, so both resolved and
+// no-SYN pairs are covered, and two context lengths: one inside
+// MaxContextMeters and one clipped to a Tail view of the snapshot.
+func TestSealedSnapshotsMatchLiveOracle(t *testing.T) {
+	fleet := append(syntheticConvoy(3, 3, 1200, 25, 1.0), syntheticConvoy(4, 3, 1200, 25, 1.0)...)
+	p := convoyParams()
+	e := engine.New(0)
+	defer e.Close()
+	for _, until := range []float64{1400, 2200} {
+		snaps := make([]*trajectory.Aware, len(fleet))
+		for i, a := range fleet {
+			snaps[i] = a.PrefixUntil(until).Snapshot()
+		}
+		var pairs [][2]int
+		for i := range snaps {
+			for j := range snaps {
+				if i != j {
+					pairs = append(pairs, [2]int{i, j})
+				}
+			}
+		}
+		b, err := e.Admit(snaps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolved := 0
+		for _, r := range b.ResolvePairs(pairs, p) {
+			wantEst, wantOK := core.Resolve(snaps[r.A].Clone(), snaps[r.B].Clone(), p)
+			if r.OK != wantOK || !reflect.DeepEqual(r.Est, wantEst) {
+				t.Fatalf("context until %v, pair (%d,%d): sealed OK=%v %+v, live oracle OK=%v %+v",
+					until, r.A, r.B, r.OK, r.Est, wantOK, wantEst)
+			}
+			if r.OK {
+				resolved++
+			}
+		}
+		if resolved == 0 || resolved == len(pairs) {
+			t.Fatalf("context until %v: %d of %d pairs resolved; the fixture must mix both outcomes", until, resolved, len(pairs))
+		}
+	}
+}

@@ -34,6 +34,8 @@ type serveTelemetry struct {
 	drains         *obs.Counter
 	drainedQueries *obs.Counter
 
+	snapshotsReused *obs.Counter
+
 	resolveSec *obs.Histogram
 }
 
@@ -91,6 +93,8 @@ var serveTel = obs.NewView(func(r *obs.Registry) *serveTelemetry {
 			"graceful drains begun (SIGTERM or Shutdown)"),
 		drainedQueries: r.Counter("rups_serve_drained_queries_total",
 			"admitted queries flushed to completion during a drain"),
+		snapshotsReused: r.Counter("rups_serve_snapshots_reused_total",
+			"batch vehicle lookups answered with the vehicle's cached snapshot (context unchanged since it was taken)"),
 		// 2^-20 s ≈ 1 µs up to 2^4 = 16 s, matching the engine's pair
 		// histogram so the resolve-latency SLO reads either.
 		resolveSec: r.Histogram("rups_serve_resolve_seconds",

@@ -38,14 +38,30 @@ type vehicleEntry struct {
 	// conn's detach cannot clear a hook a later conn installed.
 	kick    func()
 	kickGen uint64
+
+	// snap is the last snapshot handed out, taken of the receiver copy
+	// snapOf. Frame application only appends to the copy and an epoch
+	// reset replaces it, so while the receiver still holds snapOf at
+	// snap's length the context is unchanged and snap is reused — with
+	// its memoized row statistics. Holding snapOf also keeps its address
+	// from being reused by a later copy. Guarded by mu.
+	snap, snapOf *trajectory.Aware
 }
 
 // snapshot returns an immutable copy-on-write snapshot of the vehicle's
-// reconstruction, safe to resolve against while frames keep applying.
+// reconstruction, safe to resolve against while frames keep applying. It
+// hands out the same snapshot until the receiver applies a frame or
+// resets.
 func (e *vehicleEntry) snapshot() *trajectory.Aware {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rx.Copy().Snapshot()
+	cp := e.rx.Copy()
+	if e.snapOf == cp && e.snap.Len() == cp.Len() {
+		stel().snapshotsReused.Inc()
+		return e.snap
+	}
+	e.snap, e.snapOf = cp.Snapshot(), cp
+	return e.snap
 }
 
 // residentBytes estimates an entry's footprint: per mark, the GeoMark

@@ -19,6 +19,9 @@
 // goes through At/SetPower/CopyRowInto; the matrix is no longer an exported
 // field, because storage sharing is only safe when every in-place write is
 // funnelled through the copy-on-write barrier.
+//
+// A snapshot is sealed: it never changes, so it also memoizes its
+// per-channel row statistics (see rowstats.go) for every searcher built on it.
 package trajectory
 
 import (
@@ -65,6 +68,9 @@ type Sample struct {
 type Aware struct {
 	Geo Geo
 	pw  powStore
+	// memo is non-nil exactly on sealed trajectories — snapshots and the
+	// Tail views of them — and is shared by a snapshot and its views.
+	memo *statsMemo
 }
 
 // NewAware allocates an all-missing power matrix of the standard GSM width
@@ -354,86 +360,18 @@ func (a *Aware) Tail(n int) *Aware {
 		return a
 	}
 	start := a.Len() - n
-	return &Aware{Geo: a.Geo.Tail(n), pw: a.pw.viewOf(start, a.Len())}
+	return &Aware{Geo: a.Geo.Tail(n), pw: a.pw.viewOf(start, a.Len()), memo: a.memo}
 }
 
 // TopChannels returns the indices of the k channels with the highest mean
 // RSSI over the trajectory — the paper's checking-window width selection
 // (§V-A uses the top 45 channels). Missing entries are skipped in the mean.
-func (a *Aware) TopChannels(k int) []int {
-	if k <= 0 {
-		panic(fmt.Sprintf("trajectory: TopChannels k=%d out of range", k))
-	}
-	if k > a.pw.width {
-		k = a.pw.width
-	}
-	type chMean struct {
-		ch   int
-		mean float64
-	}
-	ms := make([]chMean, a.pw.width)
-	for ch := 0; ch < a.pw.width; ch++ {
-		m, ok := a.rowMeanOK(ch)
-		if !ok { // all missing: rank below the floor
-			m = gsm.NoiseFloorDBm - 1
-		}
-		ms[ch] = chMean{ch, m}
-	}
-	// Partial selection sort: k is small (≤194).
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(ms); j++ {
-			if ms[j].mean > ms[best].mean {
-				best = j
-			}
-		}
-		ms[i], ms[best] = ms[best], ms[i]
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ms[i].ch
-	}
-	return out
-}
-
-// rowMeanOK is stats.MeanOK over channel ch's chunked row.
-func (a *Aware) rowMeanOK(ch int) (float64, bool) {
-	var sum float64
-	var n int
-	a.pw.rowSegs(ch, 0, a.Len(), func(seg []float64, _ int) {
-		for _, v := range seg {
-			if !stats.IsMissing(v) {
-				sum += v
-				n++
-			}
-		}
-	})
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
+func (a *Aware) TopChannels(k int) []int { return a.RowStats().Top(k) }
 
 // TopAudibleChannels returns the TopChannels ranking trimmed to channels
-// whose mean RSSI exceeds minDBm — sparse environments (suburbs) may not
-// have k audible carriers, and padding the checking window with noise-floor
-// rows only dilutes the trajectory correlation. At least minKeep channels
-// are always returned (the strongest ones), so the window never collapses.
+// whose mean RSSI exceeds minDBm (see RowStats.TopAudible).
 func (a *Aware) TopAudibleChannels(k int, minDBm float64, minKeep int) []int {
-	ranked := a.TopChannels(k)
-	if minKeep > len(ranked) {
-		minKeep = len(ranked)
-	}
-	keep := len(ranked)
-	for keep > minKeep {
-		// stats.Mean semantics: missing entries skipped, all-missing means 0.
-		m, ok := a.rowMeanOK(ranked[keep-1])
-		if ok && m > minDBm {
-			break
-		}
-		keep--
-	}
-	return ranked[:keep]
+	return a.RowStats().TopAudible(k, minDBm, minKeep)
 }
 
 // Select returns a copy of the power matrix restricted to the given channel
@@ -489,7 +427,14 @@ func (a *Aware) Clone() *Aware {
 // rewrites (those privatize the chunk first). Snapshot itself must run on
 // the goroutine owning the trajectory — the engine admits at a quiescent
 // point; only the *reads* afterwards may be concurrent.
+//
+// A sealed trajectory (a snapshot, or a Tail view of one) can never change,
+// so it is its own snapshot: Snapshot returns it unchanged, copies nothing
+// and counts nothing.
 func (a *Aware) Snapshot() *Aware {
+	if a.memo != nil {
+		return a
+	}
 	marks := append([]GeoMark(nil), a.Geo.Marks...)
 	pw, ptrs := a.pw.snapshot()
 	if t := trajTel.Get(); t != nil {
@@ -498,5 +443,5 @@ func (a *Aware) Snapshot() *Aware {
 		t.snapSharedB.Add(uint64(8 * a.pw.width * a.Len()))
 		t.snapCopiedB.Add(uint64(16*len(marks) + 8*ptrs))
 	}
-	return &Aware{Geo: Geo{Marks: marks}, pw: pw}
+	return &Aware{Geo: Geo{Marks: marks}, pw: pw, memo: &statsMemo{}}
 }

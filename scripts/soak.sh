@@ -99,9 +99,11 @@ fi
 # rups_serve_drained_queries_total is only required to exist: at this
 # load the resolver is idle most of the time, so usually no query is
 # queued or in flight at the instant the drain seals the queue and 0 is a
-# correct reading.
+# correct reading. rups_serve_snapshots_reused_total is only required to
+# exist as well: whether a vehicle is queried twice between two of its
+# frames depends on the load's timing.
 "$out/rups-promcheck" \
-  -present rups_serve_drained_queries_total,rups_serve_queue_depth,rups_serve_resident_bytes,rups_serve_slow_disconnects_total \
+  -present rups_serve_drained_queries_total,rups_serve_queue_depth,rups_serve_resident_bytes,rups_serve_slow_disconnects_total,rups_serve_snapshots_reused_total \
   "$out/soak-overload.prom" \
   rups_serve_connections_total \
   rups_serve_queries_total \
