@@ -20,7 +20,7 @@ test-short:
 race:
 	go test -race -short ./...
 
-# Static analysis: go vet plus the twelve domain-aware analyzers in
+# Static analysis: go vet plus the six domain-aware analyzers in
 # cmd/rups-lint (see docs/STATIC_ANALYSIS.md). Accepted findings live in
 # the committed lint-baseline.json, each entry carrying a "why"
 # justification; anything not in the baseline fails the build.

@@ -8,7 +8,6 @@
 //	rups-lint -list                # describe the analyzers
 //	rups-lint -json ./...          # SARIF 2.1.0 on stdout
 //	rups-lint -only wiretaint      # run a subset
-//	rups-lint -disable ctxguard    # run everything but
 //	rups-lint -write-baseline lint-baseline.json ./...
 //	rups-lint -baseline lint-baseline.json ./...
 //	rups-lint -baseline lint-baseline.json -prune-baseline check ./...
@@ -32,18 +31,12 @@ import (
 	"strings"
 
 	"rups/internal/analysis"
-	"rups/internal/analysis/atomiccheck"
-	"rups/internal/analysis/chanclose"
-	"rups/internal/analysis/ctxguard"
 	"rups/internal/analysis/dataflow"
 	"rups/internal/analysis/errflow"
 	"rups/internal/analysis/floatcmp"
 	"rups/internal/analysis/indexunit"
 	"rups/internal/analysis/loader"
-	"rups/internal/analysis/lockcheck"
-	"rups/internal/analysis/lockorder"
 	"rups/internal/analysis/naninguard"
-	"rups/internal/analysis/obsdiscipline"
 	"rups/internal/analysis/timedet"
 	"rups/internal/analysis/wiretaint"
 )
@@ -52,16 +45,10 @@ import (
 // implementing the internal/analysis.Analyzer interface and listing it
 // here.
 var analyzers = []*analysis.Analyzer{
-	atomiccheck.Analyzer,
-	chanclose.Analyzer,
-	ctxguard.Analyzer,
 	errflow.Analyzer,
 	floatcmp.Analyzer,
 	indexunit.Analyzer,
-	lockcheck.Analyzer,
-	lockorder.Analyzer,
 	naninguard.Analyzer,
-	obsdiscipline.Analyzer,
 	timedet.Analyzer,
 	wiretaint.Analyzer,
 }
@@ -69,13 +56,11 @@ var analyzers = []*analysis.Analyzer{
 func main() {
 	list := flag.Bool("list", false, "describe the registered analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default all)")
-	disable := flag.String("disable", "", "comma-separated analyzer names to skip")
 	jsonOut := flag.Bool("json", false, "emit findings as SARIF 2.1.0 on stdout")
 	baselinePath := flag.String("baseline", "", "suppress findings fingerprinted in this baseline file")
 	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	pruneBaseline := flag.String("prune-baseline", "", "with -baseline: \"check\" exits 1 if any entry no longer fires, \"rewrite\" drops stale entries from the file")
 	listIgnores := flag.Bool("list-ignores", false, "print every lint:ignore directive; exit 1 if any lacks a justification")
-	tags := flag.String("tags", "", "comma-separated build tags: lint the tagged variant of every package")
 	flag.Parse()
 
 	if *pruneBaseline != "" {
@@ -96,7 +81,7 @@ func main() {
 		return
 	}
 
-	roster, err := selectAnalyzers(*only, *disable)
+	roster, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
 		os.Exit(2)
@@ -112,11 +97,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
 		os.Exit(2)
 	}
-	var tagList []string
-	if *tags != "" {
-		tagList = strings.Split(*tags, ",")
-	}
-	pkgs, err := loader.LoadTags(cwd, tagList, patterns...)
+	pkgs, err := loader.Load(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
 		os.Exit(2)
@@ -131,9 +112,8 @@ func main() {
 		os.Exit(reportIgnores(pkgs, cwd))
 	}
 
-	// One interprocedural program is shared by every analyzer in the
-	// roster: call graph, effect summaries, and cross-package taint are
-	// computed once, not per analyzer.
+	// One dataflow program is shared by the roster: def-use chains and
+	// cross-package taint summaries are computed once, not per analyzer.
 	diags, err := analysis.Run(pkgs, roster, dataflow.NewProgram(pkgs))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rups-lint: %v\n", err)
@@ -196,47 +176,24 @@ func main() {
 	}
 }
 
-// selectAnalyzers applies -only then -disable to the registered roster.
-func selectAnalyzers(only, disable string) ([]*analysis.Analyzer, error) {
-	roster := analyzers
-	if only != "" {
-		wanted, err := nameSet(only)
-		if err != nil {
-			return nil, err
-		}
-		roster = nil
-		for _, a := range analyzers {
-			if wanted[a.Name] {
-				roster = append(roster, a)
-				delete(wanted, a.Name)
-			}
-		}
-		for name := range wanted {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
+// selectAnalyzers applies -only to the registered roster.
+func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
+	if only == "" {
+		return analyzers, nil
+	}
+	wanted, err := nameSet(only)
+	if err != nil {
+		return nil, err
+	}
+	var roster []*analysis.Analyzer
+	for _, a := range analyzers {
+		if wanted[a.Name] {
+			roster = append(roster, a)
+			delete(wanted, a.Name)
 		}
 	}
-	if disable != "" {
-		skip, err := nameSet(disable)
-		if err != nil {
-			return nil, err
-		}
-		var kept []*analysis.Analyzer
-		for _, a := range roster {
-			if skip[a.Name] {
-				delete(skip, a.Name)
-				continue
-			}
-			kept = append(kept, a)
-		}
-		for name := range skip {
-			if !known(name) {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-		}
-		roster = kept
-	}
-	if len(roster) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
+	for name := range wanted {
+		return nil, fmt.Errorf("unknown analyzer %q", name)
 	}
 	return roster, nil
 }
@@ -252,16 +209,6 @@ func nameSet(csv string) (map[string]bool, error) {
 		out[name] = true
 	}
 	return out, nil
-}
-
-// known reports whether a registered analyzer has the name.
-func known(name string) bool {
-	for _, a := range analyzers {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // reportIgnores prints every suppression directive and returns the

@@ -42,11 +42,12 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Program holds program-wide facts shared by every pass of one run:
-	// the interprocedural dataflow program (*dataflow.Program) when the
-	// driver built one. It is typed `any` because dataflow sits above this
-	// package; analyzers retrieve it with dataflow.ProgramOf, which falls
-	// back to a single-package program when the driver supplied none.
+	// Program is the run-wide dataflow state shared by every pass: a
+	// *dataflow.Program (per-package def-use chains and cross-package
+	// taint summaries) when rups-lint built one. It is typed `any`
+	// because dataflow sits above this package; analyzers reach it
+	// through dataflow.AnalysisOf, which analyzes the pass's package alone
+	// when the caller supplied none.
 	Program any
 
 	diags []Diagnostic

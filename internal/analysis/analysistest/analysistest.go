@@ -34,10 +34,9 @@ type expectation struct {
 }
 
 // Run loads the package directories under testdata/src in one go — so
-// cross-package golden setups (a restricted package calling a helper
-// package) share one interprocedural program, exactly like the real
-// driver — and applies the analyzer, asserting that diagnostics and
-// // want comments agree.
+// cross-package golden setups (a caller package and its decode helper)
+// share one dataflow program, exactly like rups-lint — and applies
+// the analyzer, asserting that diagnostics and // want comments agree.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	patterns := make([]string, len(pkgs))

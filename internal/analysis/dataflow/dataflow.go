@@ -201,8 +201,8 @@ type Analysis struct {
 	summaries map[*types.Func]*Summary
 
 	// foreign resolves call summaries for functions outside this package.
-	// The interprocedural Program installs it so cross-package calls see
-	// the callee's summary instead of Clean; nil means same-package only.
+	// NewProgram installs it so cross-package calls see the callee's
+	// summary instead of Clean; nil means same-package only.
 	foreign func(*types.Func) *Summary
 }
 
@@ -231,8 +231,8 @@ func New(pass *analysis.Pass) *Analysis {
 func (a *Analysis) SummaryOf(fn *types.Func) *Summary { return a.summaries[fn] }
 
 // SummaryAny resolves a call summary for any loaded function: same-package
-// directly, cross-package through the interprocedural program's resolver
-// when one is installed.
+// directly, cross-package through the Program when the analysis belongs
+// to one.
 func (a *Analysis) SummaryAny(fn *types.Func) *Summary {
 	if s := a.summaries[fn]; s != nil {
 		return s
@@ -241,28 +241,6 @@ func (a *Analysis) SummaryAny(fn *types.Func) *Summary {
 		return a.foreign(fn)
 	}
 	return nil
-}
-
-// SetForeign installs a resolver for out-of-package call summaries. After
-// changing it, run Recompute (usually from the Program's global fixpoint
-// loop) so summaries that depend on foreign callees climb the lattice.
-func (a *Analysis) SetForeign(resolve func(*types.Func) *Summary) { a.foreign = resolve }
-
-// Recompute runs one round of summary updates over every function and
-// reports whether anything changed. The Program alternates Recompute
-// across packages until no package changes — the global fixpoint.
-// Summaries only climb the lattice, so the iteration terminates.
-func (a *Analysis) Recompute() bool {
-	changed := false
-	for _, flow := range a.Flows {
-		if flow.Fn == nil {
-			continue
-		}
-		if a.updateSummary(flow, a.summaries[flow.Fn]) {
-			changed = true
-		}
-	}
-	return changed
 }
 
 // ---- flow construction -------------------------------------------------

@@ -274,18 +274,24 @@ func (a *Analysis) computeSummaries() {
 		}
 		a.summaries[flow.Fn] = s
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, flow := range a.Flows {
-			if flow.Fn == nil {
-				continue
-			}
-			s := a.summaries[flow.Fn]
-			if a.updateSummary(flow, s) {
-				changed = true
-			}
+	for a.recompute() {
+	}
+}
+
+// recompute runs one round of summary updates over every function and
+// reports whether anything changed. NewProgram alternates it across
+// packages until no package changes: the global fixpoint.
+func (a *Analysis) recompute() bool {
+	changed := false
+	for _, flow := range a.Flows {
+		if flow.Fn == nil {
+			continue
+		}
+		if a.updateSummary(flow, a.summaries[flow.Fn]) {
+			changed = true
 		}
 	}
+	return changed
 }
 
 func (a *Analysis) updateSummary(flow *FuncFlow, s *Summary) bool {

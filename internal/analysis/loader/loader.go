@@ -20,7 +20,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one type-checked package under analysis.
@@ -58,26 +57,13 @@ type listError struct {
 // relative to dir. Test files are not included: the linters audit shipping
 // code. The returned packages share one FileSet.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadTags(dir, nil, patterns...)
-}
-
-// LoadTags is Load under an explicit build-tag set: file selection (and
-// the export data compiled for dependencies) follows `go list -tags`, so
-// an analyzer can audit every build variant of a package — the default
-// file set with a nil tag list, or e.g. []string{"fastpath","telemetry"}
-// for a tagged variant.
-func LoadTags(dir string, tags []string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := []string{
+	args := append([]string{
 		"list", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Standard,Error",
-	}
-	if len(tags) > 0 {
-		args = append(args, "-tags="+strings.Join(tags, ","))
-	}
-	args = append(args, patterns...)
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

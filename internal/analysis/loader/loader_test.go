@@ -102,50 +102,6 @@ func TestLoadMultiPackage(t *testing.T) {
 	}
 }
 
-func TestLoadTagsSelectsBuildVariant(t *testing.T) {
-	dir := filepath.Join(repoRoot(t), "internal", "analysis", "testdata", "src")
-
-	lookup := func(tags []string) map[string]bool {
-		t.Helper()
-		pkgs, err := LoadTags(dir, tags, "./tagmod")
-		if err != nil {
-			t.Fatalf("LoadTags(%v): %v", tags, err)
-		}
-		if len(pkgs) != 1 {
-			t.Fatalf("LoadTags(%v): got %d packages, want 1", tags, len(pkgs))
-		}
-		if len(pkgs[0].TypeErrors) != 0 {
-			t.Fatalf("LoadTags(%v): type errors: %v", tags, pkgs[0].TypeErrors)
-		}
-		have := make(map[string]bool)
-		for _, name := range []string{"Always", "Mode", "FastOnly", "Telemetry"} {
-			have[name] = pkgs[0].Types.Scope().Lookup(name) != nil
-		}
-		return have
-	}
-
-	// Default variant: the !fastpath file wins, no telemetry.
-	def := lookup(nil)
-	if !def["Always"] || !def["Mode"] {
-		t.Errorf("default variant missing shared declarations: %v", def)
-	}
-	if def["FastOnly"] || def["Telemetry"] {
-		t.Errorf("default variant leaked tagged declarations: %v", def)
-	}
-
-	// Single tag swaps the Mode implementation and brings FastOnly in.
-	fast := lookup([]string{"fastpath"})
-	if !fast["FastOnly"] || fast["Telemetry"] {
-		t.Errorf("fastpath variant has wrong declaration set: %v", fast)
-	}
-
-	// Multiple tags compose: both tag-gated files are in the package.
-	both := lookup([]string{"fastpath", "telemetry"})
-	if !both["FastOnly"] || !both["Telemetry"] || !both["Always"] {
-		t.Errorf("fastpath+telemetry variant has wrong declaration set: %v", both)
-	}
-}
-
 func TestLoadManyPatterns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")

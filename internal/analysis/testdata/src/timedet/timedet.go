@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"rups/internal/analysis/testdata/src/timedetutil"
+	"rups/internal/analysis/testdata/src/timedetfree"
 )
 
 // Tick reads the wall clock directly.
@@ -15,9 +15,19 @@ func Tick() int64 {
 	return time.Now().UnixNano() // want `time.Now in deterministic simulation code`
 }
 
-// Age uses time.Since — also wall-clock.
+// Age uses time.Since, also wall-clock.
 func Age(t0 time.Time) time.Duration {
 	return time.Since(t0) // want `time.Since in deterministic simulation code`
+}
+
+// Left uses time.Until, also wall-clock.
+func Left(t1 time.Time) time.Duration {
+	return time.Until(t1) // want `time.Until in deterministic simulation code`
+}
+
+// Deadline only does arithmetic on a timestamp it was handed: silent.
+func Deadline(t0 time.Time) time.Time {
+	return t0.Add(time.Second)
 }
 
 // Jitter draws from the global math/rand source.
@@ -25,28 +35,25 @@ func Jitter() float64 {
 	return rand.Float64() // want `global rand.Float64 in deterministic simulation code`
 }
 
-// Stamp reaches the clock through a non-deterministic helper package.
-func Stamp() int64 {
-	return timedetutil.Stamp() // want `call reaches wall-clock`
+// Pick draws an index from the global source.
+func Pick(n int) int {
+	return rand.Intn(n) // want `global rand.Intn in deterministic simulation code`
 }
 
-// Deep reaches it two hops out; the chain is spelled out.
-func Deep() int64 {
-	return timedetutil.Indirect() // want `call reaches wall-clock \(timedetutil.Indirect -> timedetutil.Stamp -> time.Now\)`
-}
-
-// Shake reaches the global source transitively.
-func Shake() float64 {
-	return timedetutil.Jitter() // want `call reaches global randomness`
-}
-
-// Relay calls another deterministic-package function that reaches time:
-// not re-flagged here — the finding lives at Stamp's own call site.
-func Relay() int64 {
-	return Stamp()
-}
-
-// Noise is deterministic: seeded source through the helper, silent.
+// Noise is deterministic: an explicitly seeded source, silent.
 func Noise(seed int64) float64 {
-	return timedetutil.SeededNoise(seed)
+	return rand.New(rand.NewSource(seed)).Float64()
+}
+
+// Later reads the clock inside a closure: still a direct site.
+func Later() func() int64 {
+	return func() int64 {
+		return time.Now().Unix() // want `time.Now in deterministic simulation code`
+	}
+}
+
+// Stamp calls into a package outside the deterministic set: the clock
+// read lives there, so the call here is silent.
+func Stamp() int64 {
+	return timedetfree.Stamp()
 }

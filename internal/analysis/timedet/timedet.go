@@ -1,33 +1,29 @@
 // Package timedet guards the simulation's per-seed determinism: inside
 // the deterministic packages (sim, link, v2v, engine, serve, and
-// cmd/rups-sim)
-// it flags wall-clock reads (time.Now and friends) and draws from the
-// global math/rand source — directly, and through calls whose loaded
-// callees transitively reach one, with the call chain spelled out.
+// cmd/rups-sim) it flags direct wall-clock reads (time.Now, time.Since,
+// time.Until) and draws from the global math/rand source.
 //
 // The chaos and replay tests depend on a run being a pure function of its
 // seed; one time.Now in a resolution path makes failures unreproducible.
-// Calls from one deterministic package into another are not re-flagged —
-// the finding belongs where the source is introduced — so a single
-// offending helper produces one diagnostic per entry point, not a cascade.
+// Only direct call sites in the package are checked: a source reached
+// through another package's function is that package's concern.
 package timedet
 
 import (
+	"go/ast"
 	"go/types"
 	"strings"
 
 	"rups/internal/analysis"
-	"rups/internal/analysis/dataflow"
 )
 
-// Analyzer flags wall-clock and global-randomness reach in deterministic
-// simulation packages.
+// Analyzer flags wall-clock reads and global-randomness draws in
+// deterministic simulation packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "timedet",
-	Doc: "flags time.Now and global math/rand reached from deterministic " +
-		"simulation code (sim, link, v2v, engine, serve, cmd/rups-sim), " +
-		"breaking " +
-		"per-seed reproducibility",
+	Doc: "flags time.Now/Since/Until and global math/rand calls in " +
+		"deterministic simulation code (sim, link, v2v, engine, serve, " +
+		"cmd/rups-sim), breaking per-seed reproducibility",
 	Run: run,
 }
 
@@ -36,69 +32,46 @@ var restrictedNames = map[string]bool{
 	"sim": true, "link": true, "v2v": true, "engine": true, "serve": true,
 }
 
-func restricted(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	return restrictedNames[pkg.Name()] || strings.HasSuffix(pkg.Path(), "cmd/rups-sim")
-}
-
 func run(pass *analysis.Pass) error {
-	if !restricted(pass.Pkg) {
+	if !restrictedNames[pass.Pkg.Name()] && !strings.HasSuffix(pass.Pkg.Path(), "cmd/rups-sim") {
 		return nil
 	}
-	prog := dataflow.ProgramOf(pass)
-	for _, pf := range prog.Functions() {
-		if pf.Pkg.Path() != pass.Pkg.Path() {
-			continue
+	pass.Preorder(func(n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		eff := pf.Effects
-		for _, s := range eff.TimeSites {
-			pass.Reportf(s.Pos, "%s in deterministic simulation code: wall-clock "+
-				"breaks per-seed reproducibility; thread the sim timestamp instead", s.What)
+		var id *ast.Ident
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
+		default:
+			return
 		}
-		for _, s := range eff.RandSites {
-			pass.Reportf(s.Pos, "global %s in deterministic simulation code: draws "+
-				"depend on process history; use a seeded source (internal/noise)", s.What)
+		fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+		if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+			return
 		}
-		reportReach(pass, prog, pf, eff.ReachesTime,
-			func(e *dataflow.Effects) bool { return e.ReachesTime },
-			prog.TimeChain, "wall-clock")
-		reportReach(pass, prog, pf, eff.ReachesRand,
-			func(e *dataflow.Effects) bool { return e.ReachesRand },
-			prog.RandChain, "global randomness")
-	}
-	return nil
-}
-
-// reportReach flags the first call site per function whose callee
-// transitively reaches the source — unless the callee itself sits in a
-// deterministic package, where the finding already lives. One report per
-// function keeps a telemetry-heavy body from drowning the signal.
-func reportReach(pass *analysis.Pass, prog *dataflow.Program, pf *dataflow.ProgFunc,
-	reaches bool, has func(*dataflow.Effects) bool, chain func(*dataflow.ProgFunc) []string, what string) {
-	if !reaches {
-		return
-	}
-	for _, cs := range pf.Calls {
-		callee := reachingCallee(prog, cs, has)
-		if callee == nil || restricted(callee.Pkg) {
-			continue
+		switch path := fn.Pkg().Path(); path {
+		case "time":
+			switch fn.Name() {
+			case "Now", "Since", "Until":
+				pass.Reportf(call.Pos(), "time.%s in deterministic simulation code: wall-clock "+
+					"breaks per-seed reproducibility; thread the sim timestamp instead", fn.Name())
+			}
+		case "math/rand", "math/rand/v2":
+			// Package-level functions draw from the shared global source;
+			// explicitly seeded *Rand values (rand.New) stay deterministic.
+			switch fn.Name() {
+			case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+			default:
+				pass.Reportf(call.Pos(), "global %s.%s in deterministic simulation code: draws "+
+					"depend on process history; use a seeded source (internal/noise)",
+					strings.TrimPrefix(path, "math/"), fn.Name())
+			}
 		}
-		hops := append([]string{dataflow.FuncLabel(cs.Callee)}, chain(callee)...)
-		pass.Reportf(cs.Pos, "call reaches %s (%s) from deterministic simulation "+
-			"code: breaks per-seed reproducibility", what, strings.Join(hops, " -> "))
-		return
-	}
-}
-
-// reachingCallee resolves the first loaded callee of the site carrying the
-// effect, or nil.
-func reachingCallee(prog *dataflow.Program, cs *dataflow.CallSite, has func(*dataflow.Effects) bool) *dataflow.ProgFunc {
-	for _, cal := range prog.Callees(cs) {
-		if has(cal.Effects) {
-			return cal
-		}
-	}
+	})
 	return nil
 }

@@ -8,8 +8,7 @@ import (
 )
 
 func TestTimedet(t *testing.T) {
-	// Two packages in one load: the golden "sim" package is inside the
-	// deterministic set, timedetutil outside it — the cross-package reach
-	// reports land in sim with the chain spelled out.
-	analysistest.Run(t, "../testdata", timedet.Analyzer, "timedet", "timedetutil")
+	// The golden "sim" package is inside the deterministic set and
+	// timedetfree outside it: its wall-clock reads must stay silent.
+	analysistest.Run(t, "../testdata", timedet.Analyzer, "timedet", "timedetfree")
 }

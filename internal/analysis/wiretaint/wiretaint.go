@@ -13,9 +13,10 @@
 // slice/array/string indices, slice bounds, and loop bounds. A value is
 // cleared (Tainted → Bounded) by a dominating bound check — an if whose
 // condition mentions the value and whose body returns, or clamps it —
-// or by min() against a trusted limit. Calls within the package are
-// handled by summaries: passing a tainted count to a same-package helper
-// whose parameter reaches a sink unguarded is flagged at the call site.
+// or by min() against a trusted limit. Calls are handled by summaries:
+// passing a tainted count to a helper, in this package or another loaded
+// one, whose parameter reaches a sink unguarded is flagged at the call
+// site.
 package wiretaint
 
 import (
@@ -68,7 +69,7 @@ func checkCallSites(pass *analysis.Pass, df *dataflow.Analysis, flow *dataflow.F
 			return true
 		}
 		// Same-package summaries resolve directly; cross-package ones come
-		// from the interprocedural program — a tainted count handed to a
+		// from the shared dataflow program — a tainted count handed to a
 		// decode helper in another package is the same bug.
 		s := df.SummaryAny(callee)
 		if s == nil {

@@ -211,7 +211,7 @@ func (e *Engine) isClosed() bool {
 
 // submit hands t to an idle worker if one is ready and the pool is still
 // open. The read lock spans the send so Close cannot close the channel
-// between the closed check and the send.
+// between the closed check and the send (TestSubmitRacesClose).
 func (e *Engine) submit(t func()) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

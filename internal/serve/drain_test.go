@@ -312,3 +312,84 @@ func TestLoadGeneratorAgainstFaults(t *testing.T) {
 		t.Fatal("stalled clients were never disconnected")
 	}
 }
+
+// TestAdmitRacesDrainSeal pins the admission gate's read lock across the
+// queue send. Released before the send, drain's seal can close the queue
+// between the draining check and the send: the send then panics, or -race
+// reports it against the close. Several admitters spin while the seal
+// lands among them; the resolver starts only after the seal, so no receive
+// orders an admitted send before the close.
+func TestAdmitRacesDrainSeal(t *testing.T) {
+	obs.Enable(obs.NewRegistry())
+	defer obs.Disable()
+
+	for round := 0; round < 20; round++ {
+		sim := NewSimClock(1250)
+		s := New(Config{Clock: sim, Workers: 1, Params: testParams(), QueueCap: 1 << 12, PerConnQueries: 1 << 12})
+		srvNC, cliNC := net.Pipe()
+		c := &conn{s: s, nc: srvNC, outbox: make(chan []byte, 1<<13)}
+		s.conns[c] = struct{}{}
+		s.connWG.Add(1)
+		go c.writeLoop()
+		go func() {
+			peer := NewClient(cliNC)
+			for {
+				if _, err := peer.ReadMsg(); err != nil {
+					return
+				}
+			}
+		}()
+
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g uint32) {
+				defer wg.Done()
+				for qid := g << 24; !s.isDraining(); qid++ {
+					s.admitQuery(&query{qid: qid, a: 900, b: 901, admitted: sim.Now(), c: c})
+				}
+			}(uint32(g))
+		}
+		for len(s.queries) < 32 {
+			runtime.Gosched()
+		}
+		go s.sweepLoop()
+		done := make(chan DrainStats, 1)
+		go func() { done <- s.Shutdown() }()
+		for !s.isDraining() {
+			runtime.Gosched()
+		}
+		go s.resolveLoop()
+		<-done
+		wg.Wait()
+	}
+}
+
+// TestSendRacesCloseSend pins omu across the outbox send. Released before
+// the send, closeSend can close the outbox between the sendClosed check
+// and the send: the send then panics, or -race reports it against the
+// close. No writer drains the outbox, so no receive orders a send before
+// the close.
+func TestSendRacesCloseSend(t *testing.T) {
+	msg := drainFrame()
+	for round := 0; round < 40; round++ {
+		srvNC, cliNC := net.Pipe()
+		c := &conn{nc: srvNC, outbox: make(chan []byte, 1<<14)}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c.send(msg) {
+				}
+			}()
+		}
+		for len(c.outbox) < 32 {
+			runtime.Gosched()
+		}
+		c.closeSend()
+		wg.Wait()
+		srvNC.Close()
+		cliNC.Close()
+	}
+}

@@ -216,11 +216,11 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 	var drainOnce sync.Once
 	readerDone := make(chan struct{})
 	if stalled {
-		//lint:ignore chanclose the stalled branch and the reader goroutine are mutually exclusive; exactly one site ever closes
+		// The stalled branch and the reader goroutine are mutually
+		// exclusive: exactly one site ever closes readerDone.
 		close(readerDone)
 	} else {
 		go func() {
-			//lint:ignore chanclose the stalled branch and the reader goroutine are mutually exclusive; exactly one site ever closes
 			defer close(readerDone)
 			for {
 				m, err := cl.ReadMsg()

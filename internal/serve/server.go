@@ -267,7 +267,9 @@ func (s *Server) admitQuery(q *query) {
 		return
 	}
 	select {
-	//lint:ignore chanclose every send holds qmu.RLock and checks draining; drain sets draining and closes under qmu.Lock, so no send can follow the close
+	// Every send holds qmu.RLock and checks draining; drain sets draining
+	// and closes under qmu.Lock, so no send can follow the close
+	// (TestAdmitRacesDrainSeal).
 	case s.queries <- q:
 		q.c.outstanding.Add(1)
 		tel.queueDepth.Set(int64(len(s.queries)))
@@ -554,7 +556,9 @@ func (c *conn) send(b []byte) bool {
 		return false
 	}
 	select {
-	//lint:ignore chanclose every send holds omu and checks sendClosed; closeSend sets it and closes under omu, so no send can follow the close
+	// Every send holds omu and checks sendClosed; closeSend sets it and
+	// closes under omu, so no send can follow the close
+	// (TestSendRacesCloseSend).
 	case c.outbox <- b:
 		c.omu.Unlock()
 		return true
