@@ -50,8 +50,9 @@ lint-prune:
 #              BENCH_CURRENT=results/bench_pr4_current.txt BENCH_OUT=BENCH_4.json
 # BenchmarkSearcherInstrumented vs the baseline BenchmarkFindSYNs is the
 # disabled-telemetry overhead check: it must stay within ~2% ns/op and at
-# identical allocs/op. BenchmarkEngineSteadyState Warm vs Cold is the
-# warm-start check: repeat-contact resolves must beat cold scans ≥ 3×.
+# identical allocs/op. BenchmarkEngineSteadyState Warm vs Cold tracks the
+# warm start: since the floored SYN scan the cold path is cheap too, and the
+# last interleaved medians were 1.36 vs 1.62 ms per tick (about 1.2×).
 BENCH_BASELINE ?= results/bench_pr4_current.txt
 BENCH_CURRENT  ?= results/bench_pr5_current.txt
 BENCH_OUT      ?= BENCH_5.json

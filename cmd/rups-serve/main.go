@@ -30,7 +30,7 @@
 //	rups-serve [-addr 127.0.0.1:7077] [-workers 0] [-max-conns 1024]
 //	           [-queue-cap 256] [-per-conn 64] [-rate 0] [-mem-budget 67108864]
 //	           [-stale-after 30] [-expire-after 150] [-retry-after 0.5]
-//	           [-window-channels 45] [-debug-addr 127.0.0.1:6060]
+//	           [-debug-addr 127.0.0.1:6060]
 //	           [-metrics-snapshot out.prom] [-flight-dir capsules/]
 package main
 
@@ -63,7 +63,6 @@ func main() {
 		expireAfter = flag.Float64("expire-after", 150, "expire resident contexts past this age, seconds")
 		sweepEvery  = flag.Float64("sweep-every", 5, "staleness sweep interval, seconds")
 		retryAfter  = flag.Float64("retry-after", 0.5, "retry-after hint on queue refusals, seconds")
-		winChannels = flag.Int("window-channels", 0, "resolver checking-window width (0 = library default)")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/slo, /debug/spans, and pprof on this address")
 		snapshot  = flag.String("metrics-snapshot", "", "write the final Prometheus metrics snapshot to this file at drain")
@@ -90,14 +89,10 @@ func main() {
 	}
 	slt := slo.New(objectives, reg)
 
-	params := core.DefaultParams()
-	if *winChannels > 0 {
-		params.WindowChannels = *winChannels
-	}
 	s := serve.New(serve.Config{
 		Addr:           *addr,
 		Workers:        *workers,
-		Params:         params,
+		Params:         core.DefaultParams(),
 		Staleness:      core.Staleness{StaleAfterSec: *staleAfter, ExpireAfterSec: *expireAfter},
 		MaxConns:       *maxConns,
 		QueueCap:       *queueCap,

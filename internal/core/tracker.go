@@ -41,13 +41,6 @@ func NewTracker(radiusM int) *Tracker {
 	return &Tracker{radius: radiusM, hints: make(map[int]int)}
 }
 
-// Reset drops every hint: the next resolve cold-scans all segments. The
-// engine calls this when core.Staleness expires the pair — contexts old
-// enough to be discarded cannot vouch for a warm window either.
-func (t *Tracker) Reset() {
-	clear(t.hints)
-}
-
 // hint returns the previous tick's SYN delta for a segment ordinal.
 func (t *Tracker) hint(seg int) (delta int, ok bool) {
 	delta, ok = t.hints[seg]

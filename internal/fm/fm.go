@@ -91,9 +91,6 @@ func NewField(seed uint64, area gsm.Bounds, zone gsm.Zoning) *Field {
 // Channels implements the scanner source contract.
 func (f *Field) Channels() int { return NumStations }
 
-// Stations returns the transmitter positions (read-only).
-func (f *Field) Stations() []geo.Vec2 { return f.stations }
-
 // Sample returns the RSSI in dBm of station ch at (pos, t), clamped to the
 // receiver's dynamic range.
 func (f *Field) Sample(pos geo.Vec2, ch int, t float64) float64 {

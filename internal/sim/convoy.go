@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"rups/internal/city"
 	"rups/internal/core"
 	"rups/internal/engine"
-	"rups/internal/fm"
-	"rups/internal/gsm"
 	"rups/internal/mobility"
 	"rups/internal/noise"
 	"rups/internal/obs"
-	"rups/internal/scanner"
 	"rups/internal/trajectory"
 )
 
@@ -32,21 +28,7 @@ func ExecuteConvoy(sc Scenario, n int) *ConvoyRun {
 	if sc.DistanceM <= 0 || sc.Radios <= 0 || n < 2 {
 		panic(fmt.Sprintf("sim: invalid convoy scenario %+v (n=%d)", sc, n))
 	}
-	c := city.Generate(city.DefaultConfig(sc.Seed))
-	field := gsm.NewField(noise.Hash(sc.Seed, 0xF1E1D),
-		gsm.GenerateTowers(noise.Hash(sc.Seed, 0x703E5), c.Bounds(), c), c)
-	var src scanner.Source = field
-	if sc.WithFM {
-		src = scanner.NewMultiSource(field, fm.NewField(noise.Hash(sc.Seed, 0xF30), c.Bounds(), c))
-	}
-	roads := c.RoadsOfClass(sc.RoadClass)
-	road := roads[sc.RoadIndex%len(roads)]
-
-	cfg := mobility.DriveConfig{
-		Road: road, Lane: sc.LeaderLane, StartS: 30, Distance: sc.DistanceM,
-		StartTime: 0, Seed: noise.Hash(sc.Seed, 1),
-		Condition: sc.Condition, StopEveryM: sc.StopEveryM, StopSeed: sc.Seed,
-	}
+	_, _, src, cfg := world(sc)
 	traces := make([]*mobility.Trace, n)
 	traces[0] = mobility.Drive(cfg)
 	for vi := 1; vi < n; vi++ {

@@ -181,21 +181,7 @@ func Execute(sc Scenario) *Run {
 		sc.FollowerRadios = sc.Radios
 		sc.FollowerPlacement = sc.Placement
 	}
-	c := city.Generate(city.DefaultConfig(sc.Seed))
-	field := gsm.NewField(noise.Hash(sc.Seed, 0xF1E1D), gsm.GenerateTowers(noise.Hash(sc.Seed, 0x703E5), c.Bounds(), c), c)
-	var src scanner.Source = field
-	if sc.WithFM {
-		src = scanner.NewMultiSource(field, fm.NewField(noise.Hash(sc.Seed, 0xF30), c.Bounds(), c))
-	}
-
-	roads := c.RoadsOfClass(sc.RoadClass)
-	road := roads[sc.RoadIndex%len(roads)]
-
-	leadCfg := mobility.DriveConfig{
-		Road: road, Lane: sc.LeaderLane, StartS: 30, Distance: sc.DistanceM,
-		StartTime: 0, Seed: noise.Hash(sc.Seed, 1),
-		Condition: sc.Condition, StopEveryM: sc.StopEveryM, StopSeed: sc.Seed,
-	}
+	c, field, src, leadCfg := world(sc)
 	leader := mobility.Drive(leadCfg)
 	folCfg := leadCfg
 	folCfg.Lane = sc.FollowerLane
@@ -204,14 +190,14 @@ func Execute(sc Scenario) *Run {
 
 	// Passing-truck perturbations around the follower.
 	for k := 0; k < sc.Trucks; k++ {
-		field.AddPerturber(truckFor(sc, road, follower, k))
+		field.AddPerturber(truckFor(sc, leadCfg.Road, follower, k))
 	}
 
 	r := &Run{
 		Scenario:    sc,
 		City:        c,
 		Field:       field,
-		Road:        road,
+		Road:        leadCfg.Road,
 		gpsLeader:   sampleGPS(gps.NewReceiver(noise.Hash(sc.Seed, 0x6A5, 1), c), leader),
 		gpsFollower: sampleGPS(gps.NewReceiver(noise.Hash(sc.Seed, 0x6A5, 2), c), follower),
 		laser:       rangefinder.New(noise.Hash(sc.Seed, 0x1A5E)),
@@ -220,6 +206,23 @@ func Execute(sc Scenario) *Run {
 	r.Leader = runVehicle(rec, leader, src, sc.Radios, sc.Placement, noise.Hash(sc.Seed, 3), sc.SkipInterpolation, sc.Odometry)
 	r.Follower = runVehicle(rec, follower, src, sc.FollowerRadios, sc.FollowerPlacement, noise.Hash(sc.Seed, 4), sc.SkipInterpolation, sc.Odometry)
 	return r
+}
+
+// world builds the scenario's city, GSM field, scan source (with the FM
+// band when asked) and the leader's drive on the selected road.
+func world(sc Scenario) (*city.City, *gsm.Field, scanner.Source, mobility.DriveConfig) {
+	c := city.Generate(city.DefaultConfig(sc.Seed))
+	field := gsm.NewField(noise.Hash(sc.Seed, 0xF1E1D), gsm.GenerateTowers(noise.Hash(sc.Seed, 0x703E5), c.Bounds(), c), c)
+	var src scanner.Source = field
+	if sc.WithFM {
+		src = scanner.NewMultiSource(field, fm.NewField(noise.Hash(sc.Seed, 0xF30), c.Bounds(), c))
+	}
+	roads := c.RoadsOfClass(sc.RoadClass)
+	return c, field, src, mobility.DriveConfig{
+		Road: roads[sc.RoadIndex%len(roads)], Lane: sc.LeaderLane, StartS: 30, Distance: sc.DistanceM,
+		StartTime: 0, Seed: noise.Hash(sc.Seed, 1),
+		Condition: sc.Condition, StopEveryM: sc.StopEveryM, StopSeed: sc.Seed,
+	}
 }
 
 // truckFor builds the k-th passing-truck perturbation: a fast vehicle in
@@ -379,7 +382,7 @@ func (r *Run) Query(t float64, p core.Params) QueryResult {
 	// The rangefinder sees the leader when it is near the boresight of the
 	// follower's heading and in range.
 	if r.Scenario.LeaderLane == r.Scenario.FollowerLane {
-		if d, ok := r.laser.Measure(truthF.Dist(truthL)); ok {
+		if d, ok := r.laser.Measure(t, truthF.Dist(truthL)); ok {
 			res.LaserM, res.LaserOK = d, true
 		}
 	}
@@ -440,10 +443,8 @@ func (r *Run) QueryMany(times []float64, p core.Params) []QueryResult {
 
 // QueryManyParallel evaluates the queries concurrently over a worker pool
 // and returns the results in input order. Query is read-only with respect
-// to the run (GPS fixes are precomputed; the rangefinder counter is
-// atomic), so the fan-out is safe; determinism of each individual result is
-// preserved because nothing depends on evaluation order except the
-// rangefinder's noise stream, whose amplitude is centimetres.
+// to the run (GPS fixes are precomputed; laser noise is keyed to the query
+// time), so every result is the same for any worker count.
 func (r *Run) QueryManyParallel(times []float64, p core.Params, workers int) []QueryResult {
 	if workers < 1 {
 		workers = 1

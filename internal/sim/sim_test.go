@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,18 +107,36 @@ func TestQueryGPSBaseline(t *testing.T) {
 	}
 }
 
+// TestExecuteDeterministic executes one scenario twice and answers the same
+// queries on the first run serially and on the second over four workers:
+// every field of every result must match bit for bit. It runs under
+// -short too, so the race detector covers the worker fan-out.
 func TestExecuteDeterministic(t *testing.T) {
 	sc := DefaultScenario(77, city.TwoLaneSuburb)
 	sc.DistanceM = 400
-	a := Execute(sc)
-	b := Execute(sc)
+	a, b := Execute(sc), Execute(sc)
 	if a.Follower.Aware.Len() != b.Follower.Aware.Len() {
 		t.Fatal("non-deterministic mark count")
 	}
-	for i := 0; i < a.Follower.Aware.Len(); i += 37 {
-		if a.Follower.Aware.At(10, i) != b.Follower.Aware.At(10, i) {
-			t.Fatal("non-deterministic power matrix")
+	times := a.QueryTimes(16, 5)
+	p := core.DefaultParams()
+	ra, rb := a.QueryManyParallel(times, p, 1), b.QueryManyParallel(times, p, 4)
+	resolved, lasered := 0, 0
+	for i := range ra {
+		// %v prints every float in its shortest exact form: equal strings
+		// are equal bits, and a NaN SYNErrM matches a NaN.
+		if x, y := fmt.Sprintf("%+v", ra[i]), fmt.Sprintf("%+v", rb[i]); x != y {
+			t.Fatalf("query at t=%v diverged:\n serial   %s\n parallel %s", times[i], x, y)
 		}
+		if ra[i].OK {
+			resolved++
+		}
+		if ra[i].LaserOK {
+			lasered++
+		}
+	}
+	if resolved == 0 || lasered == 0 {
+		t.Fatalf("%d of %d queries resolved, %d laser readings: the comparison checked no answer", resolved, len(ra), lasered)
 	}
 }
 

@@ -87,19 +87,6 @@ func NewAwareWidth(g Geo, width int) *Aware {
 	return &Aware{Geo: g, pw: newPowStore(width, len(g.Marks))}
 }
 
-// FromRows builds a trajectory from channel-major power rows; every row
-// must be g.Len() long. The rows are copied into owned chunk storage.
-func FromRows(g Geo, rows [][]float64) *Aware {
-	a := NewAwareWidth(g, len(rows))
-	for ch, row := range rows {
-		if len(row) != g.Len() {
-			panic(fmt.Sprintf("trajectory: row %d has %d columns, want %d", ch, len(row), g.Len()))
-		}
-		a.pw.setRow(ch, 0, row)
-	}
-	return a
-}
-
 // Len returns the trajectory length in metres.
 func (a *Aware) Len() int { return len(a.Geo.Marks) }
 

@@ -186,9 +186,6 @@ func (s *Session) TraceRef() obs.TraceRef { return s.rx.TraceRef() }
 // bit-exact prefix of src. The engine admits this, never src directly.
 func (s *Session) Copy() *trajectory.Aware { return s.rx.Copy() }
 
-// Acked returns the sender's cumulative-ack watermark.
-func (s *Session) Acked() int { return s.base }
-
 // Lag returns how many sendable marks the peer copy is missing.
 func (s *Session) Lag() int { return s.visible - s.rx.Copy().Len() }
 

@@ -111,6 +111,20 @@ func TestSessionDeterministicPerSeed(t *testing.T) {
 		t.Fatalf("same seeds diverged: rounds %d vs %d, applied %d vs %d",
 			ra, rb, a.rx.Applied(), b.rx.Applied())
 	}
+	// The receivers' copies must agree cell by cell: every mark and every
+	// power value, bit for bit.
+	ca, cb := a.Copy(), b.Copy()
+	for i := 0; i < ca.Len(); i++ {
+		ma, mb := ca.Geo.Marks[i], cb.Geo.Marks[i]
+		if math.Float64bits(ma.Theta) != math.Float64bits(mb.Theta) || math.Float64bits(ma.T) != math.Float64bits(mb.T) {
+			t.Fatalf("mark %d: %+v vs %+v", i, ma, mb)
+		}
+		for ch := 0; ch < ca.Width(); ch++ {
+			if math.Float64bits(ca.At(ch, i)) != math.Float64bits(cb.At(ch, i)) {
+				t.Fatalf("power (%d, %d): %v vs %v", ch, i, ca.At(ch, i), cb.At(ch, i))
+			}
+		}
+	}
 }
 
 func TestSessionTotalOutageThenHeal(t *testing.T) {
