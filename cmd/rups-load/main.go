@@ -65,7 +65,7 @@ func main() {
 	fmt.Printf("connections     connected=%d conn_errors=%d server_disconnects=%d deliberate_resets=%d\n",
 		stats.Connected, stats.ConnErrors, stats.Disconnect, stats.Resets)
 	fmt.Printf("queries         sent=%d ok=%d stale=%d unresolved=%d shed=%d unknown_vehicle=%d\n",
-		stats.QueriesSent, stats.ResultsOK, stats.ResultsStale, stats.Unresolved, stats.Shed, stats.UnknownVeh)
+		stats.QueriesSent, stats.ResultsOK(), stats.ResultsStale, stats.Unresolved, stats.Shed, stats.UnknownVeh)
 	fmt.Printf("roads           same_road=%d same_road_ok=%d cross_road=%d cross_road_ok=%d\n",
 		stats.SameRoad, stats.SameRoadOK, stats.CrossRoad, stats.CrossRoadOK)
 	fmt.Printf("accuracy        err_samples=%d err_p90_m=%.3f\n", stats.ErrSamples, stats.ErrP90)
@@ -74,7 +74,7 @@ func main() {
 	fmt.Printf("faults injected malformed_sent=%d acks_seen=%d\n", stats.MalformedSent, stats.AcksSeen)
 
 	if *requireProgress {
-		answered := stats.ResultsOK + stats.Unresolved + stats.Shed + stats.UnknownVeh + stats.Refused
+		answered := stats.ResultsOK() + stats.Unresolved + stats.Shed + stats.UnknownVeh + stats.Refused
 		if stats.Connected == 0 || stats.QueriesSent == 0 || answered == 0 {
 			fmt.Fprintf(os.Stderr, "rups-load: FAIL: no progress: %d connected, %d queries sent, %d answered or refused\n",
 				stats.Connected, stats.QueriesSent, answered)

@@ -57,9 +57,9 @@ type LoadStats struct {
 	SameRoad, SameRoadOK   uint64 // queries to a convoy neighbour, and their OK answers
 	CrossRoad, CrossRoadOK uint64 // an OK across roads is a wrong lock
 
-	ResultsOK, ResultsStale, Unresolved, Shed, UnknownVeh uint64
-	Refused, RefusedQueue, RefusedRate, RefusedDrain      uint64
-	Drains, AcksSeen, MalformedSent                       uint64
+	ResultsStale, Unresolved, Shed, UnknownVeh       uint64
+	Refused, RefusedQueue, RefusedRate, RefusedDrain uint64
+	Drains, AcksSeen, MalformedSent                  uint64
 
 	// ErrP90 is the 90th percentile of |d_r − truth|, metres, over the
 	// ErrSamples same-road OK answers whose contexts are pinned: neither
@@ -68,13 +68,15 @@ type LoadStats struct {
 	ErrP90     float64
 }
 
+// ResultsOK is every OK answer, on either road.
+func (s LoadStats) ResultsOK() uint64 { return s.SameRoadOK + s.CrossRoadOK }
+
 // run is one RunLoad's shared state; mu guards stats, prog, errs and every
 // session's answered, drained and pend.
 type run struct {
 	cfg      LoadConfig
 	fleet    sim.Fleet
 	t0, step float64 // round r streams up to sim time cut(r)
-	offset   float64 // server clock = sim time + offset
 
 	mu    sync.Mutex
 	stats LoadStats
@@ -131,16 +133,11 @@ func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 				resetAt = -1
 			}
 			for epoch, round := uint32(1), 0; round >= 0; epoch, resetAt = epoch+1, -1 {
-				if epoch > 1 {
-					r.inc(&r.stats.Resets)
-				}
 				round = r.session(ctx, &session{vid: vid, epoch: epoch, stalled: stalled, pend: map[uint32]pending{}}, resetAt, round)
 			}
 		}(uint32(vid))
 	}
-	wg.Wait()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	wg.Wait() // every session and its reader are done: no lock from here
 	s := r.stats
 	s.ErrSamples, s.ErrP90 = uint64(len(r.errs)), math.NaN()
 	if len(r.errs) > 0 {
@@ -153,13 +150,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 func newRun(cfg LoadConfig) *run {
 	cfg.QueriesPerRound = max(cfg.QueriesPerRound, 1)
 	sc := sim.DefaultScenario(cfg.Seed, city.FourLaneUrban)
-	sc.DistanceM = driveM
-	roads := []sim.FleetRoad{{Class: city.FourLaneUrban, Index: int(cfg.Seed)}, {Class: city.EightLaneUrban, Index: int(cfg.Seed)}}
+	sc.DistanceM, sc.RoadIndex = driveM, int(cfg.Seed)
+	roads := []city.RoadClass{city.FourLaneUrban, city.EightLaneUrban}
 	perRoad := min(max((cfg.Vehicles+1)/2, 2), maxPerRoad)
 	r := &run{cfg: cfg, fleet: sim.BuildFleet(sc, roads, perRoad), prog: make([]progress, cfg.Vehicles+1)}
 	t0, t1 := r.fleet.TimeSpan()
 	r.t0, r.step = t0, (t1-t0)/float64(max(cfg.Rounds, 1))
-	r.offset = serve.WallClock{}.Now() - r.cut(0)
 	return r
 }
 
@@ -173,17 +169,18 @@ func (r *run) fleetVehicle(vid uint32) *sim.FleetVehicle {
 
 // peer picks query q's target for vid in round, within vid's block of
 // IDs: a convoy neighbour or, for a crossShare of queries, the vehicle in
-// the same slot on the other road. It reports false when that vehicle's
-// ID is past the last connection.
+// the same slot on the next road. It reports false when that vehicle's ID
+// is past the last connection.
 func (r *run) peer(vid uint32, round, q int) (peer uint32, cross, ok bool) {
-	n := len(r.fleet)
-	per, i := n/2, int(vid-1)%n
-	j := i + 1 // the rear neighbour, or the front one on a coin flip
-	if slot := i % per; slot == per-1 || slot > 0 && noise.Hash(r.cfg.Seed, uint64(vid), uint64(round), uint64(q))%2 == 0 {
+	i := int(vid-1) % len(r.fleet)
+	fv := r.fleet[i]
+	per := len(fv.Run.Vehicles) // every convoy of the fleet is this long
+	j := i + 1                  // the rear neighbour, or the front one on a coin flip
+	if fv.Slot == per-1 || fv.Slot > 0 && noise.Hash(r.cfg.Seed, uint64(vid), uint64(round), uint64(q))%2 == 0 {
 		j = i - 1
 	}
 	if cross = noise.Uniform(r.cfg.Seed, uint64(vid), uint64(round), uint64(q), 0xC505) < crossShare; cross {
-		j = (i + per) % n
+		j = (i + per) % len(r.fleet)
 	}
 	peer = vid + uint32(j) - uint32(i)
 	return peer, cross, int(peer) <= r.cfg.Vehicles
@@ -251,13 +248,16 @@ func (r *run) session(ctx context.Context, s *session, resetAt, startRound int) 
 	}
 	// pause waits half a pace: queries go half a pace after the round's
 	// delta, when the peers' deltas have landed, which pins their contexts.
+	// False once ctx ends or the server has announced its drain.
 	pause := func() bool {
 		select {
 		case <-time.After(time.Duration(r.cfg.PaceSec / 2 * float64(time.Second))):
-			return true
 		case <-ctx.Done():
 			return false
 		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return !s.drained
 	}
 	// sent checks one send and follows every MalformedEvery-th with garbage.
 	msgN := 0
@@ -274,24 +274,32 @@ func (r *run) session(ctx context.Context, s *session, resetAt, startRound int) 
 		return err == nil
 	}
 
-	streamed, qid := 0, uint32(0)
+	// Marks are restamped onto the server clock per upload: the sim time
+	// since the session's last upload is spread over the wall time since
+	// then, so the newest mark reads now and times keep increasing. The
+	// first upload is shifted whole.
+	streamed, qid, simAt, wallAt := 0, uint32(0), math.NaN(), 0.0
 	for round := startRound; round < r.cfg.Rounds; round++ {
-		r.mu.Lock()
-		drained := s.drained
-		r.mu.Unlock()
-		if drained || !pause() {
+		if !pause() {
 			return -1
 		}
-		// The server acks every DATA frame into a bounded outbox: wait.
-		if d, ok := fv.DeltaUntil(streamed, r.cut(round), r.offset); ok {
-			if !sent(cl.SendDelta(d, s.epoch)) {
-				return -1
+		if d, ok := fv.DeltaUntil(streamed, r.cut(round)); ok {
+			now, cut := serve.WallClock{}.Now(), r.cut(round)
+			if math.IsNaN(simAt) {
+				simAt, wallAt = d.Marks[0].T, now-(cut-d.Marks[0].T)
 			}
+			for i := range d.Marks {
+				d.Marks[i].T = wallAt + (d.Marks[i].T-simAt)*(now-wallAt)/max(cut-simAt, 1e-9)
+			}
+			simAt, wallAt = cut, now
+			// Published before the send: an answer that may have seen
+			// part of this delta is never counted as pinned.
 			streamed += len(d.Marks)
 			r.mu.Lock()
 			r.prog[s.vid].sent = streamed
 			r.mu.Unlock()
-			if !wait(func() bool { return r.prog[s.vid].acked >= streamed }) {
+			// The server acks every DATA frame into a bounded outbox: wait.
+			if !sent(cl.SendDelta(d, s.epoch)) || !wait(func() bool { return r.prog[s.vid].acked >= streamed }) {
 				return -1
 			}
 		}
@@ -319,6 +327,7 @@ func (r *run) session(ctx context.Context, s *session, resetAt, startRound int) 
 			}
 		}
 		if resetAt >= 0 && round >= resetAt {
+			r.inc(&r.stats.Resets)
 			return round + 1 // abrupt restart: no goodbye
 		}
 	}
@@ -376,11 +385,8 @@ func (r *run) record(s *session, m serve.Msg) {
 				r.errs = append(r.errs, math.Abs(m.Distance-truth))
 			}
 		}
-		if m.Status == serve.StatusOK {
-			st.ResultsOK++
-			if m.Stale {
-				st.ResultsStale++
-			}
+		if m.Status == serve.StatusOK && m.Stale {
+			st.ResultsStale++
 		}
 	}
 }

@@ -9,45 +9,37 @@ import (
 	"rups/internal/v2v"
 )
 
-// FleetRoad is one convoy's road: a road class and which road of it.
-type FleetRoad struct {
-	Class city.RoadClass
-	Index int
-}
-
 // FleetVehicle is one vehicle of a Fleet: its convoy's run and its place.
 type FleetVehicle struct {
-	Road int // index into the fleet's roads; one road is one convoy
-	Slot int // position in its convoy, 0 = leader
-	Run  *ConvoyRun
+	Run  *ConvoyRun // its convoy; one road is one convoy
+	Slot int        // position in the convoy, 0 = leader
 }
 
-// Fleet is several convoys driving distinct roads of one city, each with
-// its own ground truth. Vehicles are ordered road by road, leader first,
-// so an index is a stable vehicle ID for a given build.
+// Fleet is several convoys of equal length driving distinct roads of one
+// city, each with its own ground truth. Vehicles are ordered road by road,
+// leader first, so an index is a stable vehicle ID for a given build.
 type Fleet []*FleetVehicle
 
-// BuildFleet runs ExecuteConvoy with perRoad vehicles once per road, all
-// roads in parallel. Every convoy takes sc's settings with its road class
-// and index replaced, so all of them share sc.Seed's city and GSM field:
-// pairs on different roads are the ones that must not lock.
-func BuildFleet(sc Scenario, roads []FleetRoad, perRoad int) Fleet {
-	runs := make([]*ConvoyRun, len(roads))
+// BuildFleet runs ExecuteConvoy with perRoad vehicles once per road
+// class, all in parallel. Every convoy takes sc's settings with its road
+// class replaced, so all of them share sc.Seed's city and GSM field: pairs
+// on different roads are the ones that must not lock.
+func BuildFleet(sc Scenario, classes []city.RoadClass, perRoad int) Fleet {
+	runs := make([]*ConvoyRun, len(classes))
 	var wg sync.WaitGroup
-	for g, r := range roads {
+	for g, class := range classes {
 		wg.Add(1)
-		go func(g int, r FleetRoad) {
+		go func(g int, s Scenario) {
 			defer wg.Done()
-			s := sc
-			s.RoadClass, s.RoadIndex = r.Class, r.Index
+			s.RoadClass = class
 			runs[g] = ExecuteConvoy(s, perRoad)
-		}(g, r)
+		}(g, sc)
 	}
 	wg.Wait()
 	var f Fleet
-	for g, run := range runs {
+	for _, run := range runs {
 		for slot := range run.Vehicles {
-			f = append(f, &FleetVehicle{Road: g, Slot: slot, Run: run})
+			f = append(f, &FleetVehicle{Run: run, Slot: slot})
 		}
 	}
 	return f
@@ -57,10 +49,8 @@ func BuildFleet(sc Scenario, roads []FleetRoad, perRoad int) Fleet {
 func (f Fleet) TimeSpan() (t0, t1 float64) {
 	t0, t1 = math.Inf(-1), math.Inf(1)
 	for _, v := range f {
-		if v.Slot == 0 {
-			a, b := v.Run.TimeSpan()
-			t0, t1 = math.Max(t0, a), math.Min(t1, b)
-		}
+		a, b := v.Run.TimeSpan()
+		t0, t1 = math.Max(t0, a), math.Min(t1, b)
 	}
 	return t0, t1
 }
@@ -69,9 +59,9 @@ func (f Fleet) TimeSpan() (t0, t1 float64) {
 func (v *FleetVehicle) Aware() *trajectory.Aware { return v.Run.Vehicles[v.Slot].Aware }
 
 // DeltaUntil cuts v's marks from index from up to those completed by sim
-// time t as an upload, each mark restamped by offset onto the receiving
-// server's clock. It reports false when there is nothing new.
-func (v *FleetVehicle) DeltaUntil(from int, t, offset float64) (v2v.Delta, bool) {
+// time t as an upload, stamped in sim time. It reports false when there is
+// nothing new.
+func (v *FleetVehicle) DeltaUntil(from int, t float64) (v2v.Delta, bool) {
 	a := v.Aware().PrefixUntil(t)
 	if a.Len() <= from {
 		return v2v.Delta{}, false
@@ -79,9 +69,6 @@ func (v *FleetVehicle) DeltaUntil(from int, t, offset float64) (v2v.Delta, bool)
 	d, err := v2v.MakeDelta(a, from)
 	if err != nil {
 		panic(err) // 0 ≤ from < Len by construction
-	}
-	for i := range d.Marks {
-		d.Marks[i].T += offset
 	}
 	return d, true
 }
